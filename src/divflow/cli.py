@@ -37,13 +37,15 @@ from .errors import (
 )
 from .estimator import flow_summary, ibp_from_summary
 from .functions import TestFunction, battery_for, by_name, coordinate, shifted
-from .model import TestProblem, consistency_report, make_problem
+from .model import TestProblem, apply_generator, consistency_report, make_problem
 from .norms import (
     MomentTestConfig,
+    balanced_horizon,
     check_gradient_inequality,
     check_hessian_inequality,
     decay_check,
     exp_integrability,
+    lp_norm,
     moment_bound_check,
     operator_symmetry_check,
     r_exponent,
@@ -196,6 +198,8 @@ def parse_config(path: str | Path, overrides: Optional[dict] = None) -> Experime
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if paths < 1 or ensemble < 1:
         raise ConfigError("paths and ensemble must be positive")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     if not (1.0 <= p < q):
         raise ConfigError(f"need 1 <= p < q, got p={p}, q={q}")
     cfg = ExperimentConfig(
@@ -240,28 +244,19 @@ def resolve_t0(
 ) -> float:
     """Pick the control horizon: fixed value, or the balanced-form minimiser.
 
-    For "auto", scan 8 log-spaced horizons in (0, t_star] and pick the one
-    minimising the battery-average of sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0).
+    For "auto", take the battery-wide minimiser from `balanced_horizon`.
     """
     gamma0 = config.gamma0 if config.gamma0 is not None else problem.gamma0_default
     t_star = gamma0 / config.r
     if not isinstance(config.t0, str):
         return float(config.t0)
-    from .model import apply_generator
-    from .norms import lp_norm
-
-    grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), 8))
     pts = ensemble.points
-    gen_norms = []
-    f_norms = []
-    for f in battery:
-        gen_norms.append(lp_norm(np.abs(apply_generator(problem.model, f, pts)), config.q, ensemble).value)
-        f_norms.append(lp_norm(np.abs(f.value(pts)), config.q, ensemble).value)
-    scores = [
-        float(np.mean([math.sqrt(t) * g + fv / math.sqrt(t) for g, fv in zip(gen_norms, f_norms)]))
-        for t in grid
+    gen_norms = [
+        lp_norm(np.abs(apply_generator(problem.model, f, pts)), config.q, ensemble).value
+        for f in battery
     ]
-    t0 = float(grid[int(np.argmin(scores))])
+    f_norms = [lp_norm(np.abs(f.value(pts)), config.q, ensemble).value for f in battery]
+    t0 = balanced_horizon(gen_norms, f_norms, t_star)
     # Snap onto the simulation grid without crossing the admissible range.
     steps = max(1, int(round(t0 / config.dt)))
     while steps * config.dt > t_star and steps > 1:
@@ -604,11 +599,6 @@ def run_verify(config: ExperimentConfig, negate_control: bool = False) -> tuple[
         )
     )
     artifacts["gradient_inequality"] = grad_rep
-    from .norms import norm_profile
-
-    artifacts["profiles"] = [
-        norm_profile(model, f, ensemble, config.p, config.q) for f in battery
-    ]
 
     # 9. second-derivative bound (fitted constant)
     hess_rep = check_hessian_inequality(model, battery, config.p, config.q, ensemble)
@@ -692,7 +682,7 @@ def _write_verify_outputs(
     lines.append("f,p,q,t0,f_lq,gen_lq,grad_lp,hess_lp,sobolev_1p,sobolev_2p,C,ratio,verdict")
     grad_rep = artifacts["gradient_inequality"]
     problem = _build_problem(config)
-    for row, prof in zip(grad_rep.rows, artifacts["profiles"]):
+    for row, prof in zip(grad_rep.rows, grad_rep.profiles):
         lines.append(
             ",".join(
                 [

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import engine
 from .errors import ConfigError, PolicyError
-from .model import CoefficientModel, curvature_matrix, curvature_sup, numerical_range_sup
+from .model import CoefficientModel, curvature_sup, numerical_range_sup
 from .sde import StationaryEnsemble, Trajectory
 from .variational import FundamentalMatrix
 
@@ -178,15 +178,17 @@ def gronwall_sweep(
     max_gap = 0.0
     for off, size in engine.batch_sizes(starts.shape[0], n0, d):
         inc = engine.increments_block(seed, off, size, n0, dt, d)
-        states, _ = engine.euler_sweep(model, starts[off : off + size], dt, inc)
-        a = curvature_matrix(model, states)
-        c = _batched_propagator(a, dt)
-        col_sq = np.sum((c / t0) ** 2, axis=2)  # (B, n0+1, d)
-        u = numerical_range_sup(a)
-        bound = np.exp(2.0 * engine.trapezoid_prefix(u, dt, axis=1)) / t0**2
-        slack = col_sq - bound[..., None]
-        max_slack = max(max_slack, float(np.max(slack)))
-        max_gap = max(max_gap, float(np.max(np.abs(slack))))
+        steps = engine.propagator_sweep(model, starts[off : off + size], dt, inc)
+        integral = np.zeros(size)
+        for k, _, _, a, c in engine.require_alive(steps):
+            u = numerical_range_sup(a)
+            if k > 0:
+                integral = integral + 0.5 * (u + u_prev) * dt
+            u_prev = u
+            bound = np.exp(2.0 * integral) / t0**2
+            slack = np.sum((c / t0) ** 2, axis=1) - bound[:, None]
+            max_slack = max(max_slack, float(np.max(slack)))
+            max_gap = max(max_gap, float(np.max(np.abs(slack))))
     return max_slack, max_gap
 
 
@@ -257,14 +259,15 @@ def trace_moment_check(
     samples = np.empty(n_total)
     for off, size in engine.batch_sizes(n_total, n0, d):
         inc = engine.increments_block(seed, off, size, n0, dt, d)
-        states, _ = engine.euler_sweep(model, starts[off : off + size], dt, inc)
-        a = curvature_matrix(model, states)
-        c = _batched_propagator(a, dt)
-        trace = np.sum(c**2, axis=(-2, -1)) / t0**2  # tr(g^T g) on [0, t0]
-        integrand = trace ** (r / 2.0)
-        samples[off : off + size] = (
-            engine.trapezoid_prefix(integrand, dt, axis=1)[:, -1] / t0
-        )
+        steps = engine.propagator_sweep(model, starts[off : off + size], dt, inc)
+        integral = np.zeros(size)
+        for k, _, _, _, c in engine.require_alive(steps):
+            # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule
+            integrand = (np.sum(c**2, axis=(-2, -1)) / t0**2) ** (r / 2.0)
+            if k > 0:
+                integral = integral + 0.5 * (integrand + prev) * dt
+            prev = integrand
+        samples[off : off + size] = integral / t0
 
     mean = float(np.mean(samples))
     se_mean = float(np.std(samples, ddof=1) / math.sqrt(n_total)) if n_total > 1 else 0.0
@@ -285,10 +288,3 @@ def trace_moment_check(
         rhs=rhs,
         rhs_se=rhs_se,
     )
-
-
-def _batched_propagator(a: Array, dt: float) -> Array:
-    """Propagator grids for a batch of coefficient paths (B, n+1, d, d)."""
-    from .variational import _propagate_grid
-
-    return _propagate_grid(a, dt, np.eye(a.shape[-1]))

@@ -10,23 +10,13 @@ coefficient at the half point.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, IntegrationError
-from .model import CoefficientModel, total_drift
+from .errors import ConfigError, EvaluationError, IntegrationError
+from .model import CoefficientModel, curvature_matrix, total_drift
 
-
-def _drift_or_integration_error(model: CoefficientModel, x: Array, step: int) -> Array:
-    """Drift evaluation inside a sweep; overflow means the path exploded."""
-    try:
-        return total_drift(model, x)
-    except EvaluationError as exc:
-        raise IntegrationError(
-            f"drift evaluation failed at step {step} (state exploded or dt too large)",
-            step=step,
-        ) from exc
 
 Array = np.ndarray
 
@@ -77,6 +67,84 @@ def map_batches(worker: Callable[[tuple[int, int]], object], specs: Sequence[tup
         return list(pool.map(worker, specs))
 
 
+def sweep(
+    model: CoefficientModel,
+    x0: Array,
+    dt: float,
+    increments: Array,
+    r_guard: float = DEFAULT_R_GUARD,
+) -> Iterator[tuple[int, Array, Array]]:
+    """Explicit Euler over a batch of paths: the package's only state update.
+
+    x0 is (B, d) and increments (B, n, d).  Yields (k, x, alive) at k = 0 and
+    after each step.  A path leaves `alive` at the first step where
+    |x| > r_guard and is frozen there.  A non-finite live state raises
+    IntegrationError with its step.  Yielded arrays are never mutated, and
+    `alive` is replaced by a new array exactly when some path exits.
+    """
+    x = np.array(x0, dtype=float, copy=True)
+    r2 = float(r_guard) * float(r_guard)
+    cap = min(r2, np.finfo(float).max)  # so that an infinite state fails the fast test
+    alive = np.sum(x * x, axis=-1) <= r2
+    everyone = bool(alive.all())
+    yield 0, x, alive
+    for k in range(1, increments.shape[1] + 1):
+        try:
+            drift = total_drift(model, x if everyone else np.where(alive[:, None], x, 0.0))
+        except EvaluationError as exc:
+            raise IntegrationError(
+                f"drift evaluation failed at step {k} (state exploded or dt too large)", step=k
+            ) from exc
+        x_new = x + (drift * dt + increments[:, k - 1])
+        if not everyone:
+            x_new = np.where(alive[:, None], x_new, x)
+        sq = np.sum(x_new * x_new, axis=-1)
+        if not (sq <= cap).all():
+            if np.any(alive & ~np.all(np.isfinite(x_new), axis=-1)):
+                raise IntegrationError(
+                    f"non-finite state at step {k} (dt too large or model misuse)", step=k
+                )
+            exited = alive & (sq > r2)
+            if exited.any():
+                alive, everyone = alive & ~exited, False
+        x = x_new
+        yield k, x, alive
+
+
+def propagator_sweep(
+    model: CoefficientModel,
+    x0: Array,
+    dt: float,
+    increments: Array,
+    r_guard: float = DEFAULT_R_GUARD,
+) -> Iterator[tuple[int, Array, Array, Array, Array]]:
+    """`sweep` that also carries the curvature A = K(X) and the propagator C.
+
+    Yields (k, x, alive, a, c), where C' = A C, C(0) = I takes one RK4 step
+    per Euler step.  Exited paths keep their C and see A at the origin.
+    """
+    steps = sweep(model, x0, dt, increments, r_guard)
+    _, x, alive = next(steps)
+    a = curvature_matrix(model, np.where(alive[:, None], x, 0.0))
+    c = np.broadcast_to(np.eye(x.shape[-1]), a.shape).copy()
+    yield 0, x, alive, a, c
+    for k, x, alive_new in steps:
+        a_new = curvature_matrix(model, np.where(alive_new[:, None], x, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_new = rk4_step(c, dt, a, 0.5 * (a + a_new), a_new)
+        c = np.where(alive[:, None, None], c_new, c)
+        a, alive = a_new, alive_new
+        yield k, x, alive, a, c
+
+
+def require_alive(steps: Iterator[tuple]) -> Iterator[tuple]:
+    """Pass a sweep through; raise IntegrationError at its first guard exit."""
+    for item in steps:
+        if not item[2].all():
+            raise IntegrationError(f"a path left the radius guard at step {item[0]}", step=item[0])
+        yield item
+
+
 def euler_sweep(
     model: CoefficientModel,
     x0: Array,
@@ -85,39 +153,22 @@ def euler_sweep(
     r_guard: float = DEFAULT_R_GUARD,
     store: bool = True,
 ) -> tuple[Array, Array]:
-    """Explicit Euler over a batch of paths with an explosion guard.
+    """Run `sweep` to the end.
 
-    x0 has shape (B, d) and increments (B, n, d).  Returns (states, exit_step)
-    where states is (B, n+1, d) when store is True and the final (B, d) state
-    otherwise.  exit_step[i] is the first step at which |x| exceeded r_guard
-    (the offending state is kept and the path frozen afterwards), or -1.
-    A non-finite state on a live path raises IntegrationError with the step.
+    Returns (states, exit_step) where states is (B, n+1, d) when store is
+    True and the final (B, d) state otherwise.  exit_step[i] is the step at
+    which path i left the guard radius, or -1.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    n_paths, n_steps = increments.shape[0], increments.shape[1]
+    n_paths, n_steps, dim = increments.shape
     exit_step = np.full(n_paths, -1, dtype=np.int64)
-    active = np.linalg.norm(x, axis=-1) <= r_guard
-    exit_step[~active] = 0
-    states = np.empty((n_paths, n_steps + 1, x.shape[1])) if store else None
-    if store:
-        states[:, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            x_safe = np.where(active[:, None], x, 0.0)
-            step = _drift_or_integration_error(model, x_safe, k + 1) * dt + increments[:, k]
-            x_new = np.where(active[:, None], x + step, x)
-            live_bad = active & ~np.all(np.isfinite(x_new), axis=-1)
-            if np.any(live_bad):
-                raise IntegrationError(
-                    f"non-finite state at step {k + 1} (dt too large or model misuse)",
-                    step=k + 1,
-                )
-            tripped = active & (np.linalg.norm(x_new, axis=-1) > r_guard)
-            exit_step[tripped] = k + 1
-            active &= ~tripped
-            x = x_new
-            if store:
-                states[:, k + 1] = x
+    states = np.empty((n_paths, n_steps + 1, dim)) if store else None
+    last = None
+    for k, x, alive in sweep(model, x0, dt, increments, r_guard):
+        if store:
+            states[:, k] = x
+        if alive is not last:
+            exit_step[(exit_step < 0) & ~alive] = k
+            last = alive
     return (states if store else x), exit_step
 
 
@@ -158,7 +209,5 @@ def steps_for(horizon: float, dt: float) -> int:
     """Number of grid steps in a horizon; rejects off-grid combinations."""
     n = int(round(horizon / dt))
     if n <= 0 or abs(n * dt - horizon) > 1.0e-9 * max(1.0, horizon):
-        from .errors import ConfigError
-
         raise ConfigError(f"horizon {horizon} is not a positive multiple of dt {dt}")
     return n

@@ -15,7 +15,7 @@ class EvaluationError(DivflowError):
 
 
 class IntegrationError(DivflowError):
-    """Time stepping produced a non-finite state (step too large or misuse)."""
+    """Time stepping produced a non-finite state, or left the guard radius where no path may drop."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

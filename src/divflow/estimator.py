@@ -25,7 +25,7 @@ from . import engine
 from .control import ControlPath, HorizonPolicy
 from .errors import ConfigError, EvaluationError
 from .functions import TestFunction
-from .model import CoefficientModel, apply_generator, curvature_matrix, total_drift
+from .model import CoefficientModel, apply_generator
 from .sde import WienerGrid
 
 Array = np.ndarray
@@ -127,34 +127,12 @@ def flow_summary(
     def worker(spec):
         off, size = spec
         inc = engine.increments_block(seed, path_offset + off, size, n, dt, d)
-        xs = np.broadcast_to(x, (size, d)).copy()
-        c = np.broadcast_to(np.eye(d), (size, d, d)).copy()
+        x0 = np.broadcast_to(x, (size, d))
         ito = np.zeros((size, d)) if n0 is not None else None
-        a_cur = curvature_matrix(model, xs)
-        alive = np.ones(size, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n):
-                dw = inc[:, k]
-                if ito is not None and k < n0:
-                    contrib = np.einsum("bij,bi->bj", c, dw) * (sign / t0)
-                    ito = np.where(alive[:, None], ito + contrib, ito)
-                x_safe = np.where(alive[:, None], xs, 0.0)
-                step = engine._drift_or_integration_error(model, x_safe, k + 1) * dt + dw
-                x_new = np.where(alive[:, None], xs + step, xs)
-                bad = alive & ~np.all(np.isfinite(x_new), axis=-1)
-                if np.any(bad):
-                    from .errors import IntegrationError
-
-                    raise IntegrationError(
-                        f"non-finite state at step {k + 1}", step=k + 1
-                    )
-                tripped = alive & (np.linalg.norm(x_new, axis=-1) > r_guard)
-                a_new = curvature_matrix(model, np.where((alive & ~tripped)[:, None], x_new, 0.0))
-                c_new = engine.rk4_step(c, dt, a_cur, 0.5 * (a_cur + a_new), a_new)
-                c = np.where(alive[:, None, None], c_new, c)
-                alive &= ~tripped
-                xs = x_new
-                a_cur = a_new
+        for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
+            if ito is not None and k < n0:
+                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (sign / t0)
+                ito = np.where(alive[:, None], ito + contrib, ito)
         return xs, c, ito, alive
 
     specs = engine.batch_sizes(n_paths, n, d)

@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 Array = np.ndarray
 
 # Exponents below this value underflow exp() to an exact zero anyway; cutting
@@ -218,4 +220,4 @@ def by_name(functions: Sequence[TestFunction], name: str) -> TestFunction:
     for f in functions:
         if f.name == name:
             return f
-    raise KeyError(f"no test function named {name!r}")
+    raise ConfigError(f"no test function named {name!r}")

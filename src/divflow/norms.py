@@ -35,7 +35,6 @@ from .model import (
     apply_L,
     curvature_sup,
     drift_b,
-    total_drift,
 )
 from .sde import StationaryEnsemble
 
@@ -194,6 +193,7 @@ class InequalityReport:
     e_gamma0: float
     t0: float
     rows: list[InequalityRow] = field(default_factory=list)
+    profiles: list[NormProfile] = field(default_factory=list)  # gradient: aligned with rows
     ell_2_star: dict = field(default_factory=dict)
 
     @property
@@ -233,6 +233,18 @@ def _ratio_row(
     )
 
 
+def balanced_horizon(gen_lq, f_lq, t_star: float, size: int = 8) -> float:
+    """Horizon minimising the mean over functions of sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0).
+
+    gen_lq and f_lq are the norms of one function or of a battery; the scan
+    runs over `size` log-spaced horizons in [t_star / 100, t_star].
+    """
+    grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), size))
+    root = np.sqrt(grid)[:, None]
+    scores = np.mean(root * np.asarray(gen_lq) + np.asarray(f_lq) / root, axis=1)
+    return float(grid[int(np.argmin(scores))])
+
+
 def check_gradient_inequality(
     model: CoefficientModel,
     battery: Sequence[TestFunction],
@@ -251,18 +263,11 @@ def check_gradient_inequality(
     r = r_exponent(p, q)
     integ = exp_integrability(model, ensemble, policy.gamma0)
     constant = constant_c(model.dim, r, integ.value)
-    t_star = policy.t_star
-    t0_grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), t0_grid_size))
+    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
     rows = []
-    for f in battery:
-        prof = norm_profile(model, f, ensemble, p, q)
-        balanced = constant * (
-            np.sqrt(t0_grid) * prof.gen_lq.value + prof.f_lq.value / np.sqrt(t0_grid)
-        )
-        best_t0 = float(t0_grid[int(np.argmin(balanced))])
-        rows.append(
-            _ratio_row(f.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant, best_t0)
-        )
+    for prof in profiles:
+        best_t0 = balanced_horizon(prof.gen_lq.value, prof.f_lq.value, policy.t_star, t0_grid_size)
+        rows.append(_ratio_row(prof.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant, best_t0))
     return InequalityReport(
         kind="gradient",
         p=p,
@@ -273,6 +278,7 @@ def check_gradient_inequality(
         e_gamma0=integ.value,
         t0=policy.t0,
         rows=rows,
+        profiles=profiles,
     )
 
 
@@ -441,16 +447,10 @@ def decay_check(
     rep = np.repeat(starts, m, axis=0)
     values = {k: np.empty(n * m) for k in grid_idx}
     for off, size in engine.batch_sizes(n * m, max(n_steps, 1), d):
-        inc = engine.increments_block(seed, off, size, n_steps, dt, d) if n_steps else None
-        x = rep[off : off + size].copy()
-        if 0 in values:
-            values[0][off : off + size] = f.value(x)
-        if n_steps:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(n_steps):
-                    x = x + total_drift(model, x) * dt + inc[:, k]
-                    if (k + 1) in values:
-                        values[k + 1][off : off + size] = f.value(x)
+        inc = engine.increments_block(seed, off, size, n_steps, dt, d)
+        for k, x, _ in engine.require_alive(engine.sweep(model, rep[off : off + size], dt, inc)):
+            if k in values:
+                values[k][off : off + size] = f.value(x)
 
     points = []
     for t, k in zip(t_grid, grid_idx):
@@ -560,25 +560,15 @@ def moment_bound_check(
     stopped = {r: np.zeros(n, dtype=bool) for r in radii}
     final = np.empty((n, d))
     for off, size in engine.batch_sizes(n, max(n_steps, 1), d):
-        x = starts[off : off + size].copy()
-        inc = engine.increments_block(seed, off, size, n_steps, dt, d) if n_steps else None
-        loc_frozen = {r: np.full(size, np.nan) for r in radii}
-        loc_stopped = {r: np.zeros(size, dtype=bool) for r in radii}
-        for r in radii:
-            hit = np.linalg.norm(x, axis=-1) >= r
-            loc_stopped[r] |= hit
-            loc_frozen[r][hit] = f_mom(x[hit])
-        for k in range(n_steps):
-            x = x + total_drift(model, x) * dt + inc[:, k]
+        part = slice(off, off + size)
+        inc = engine.increments_block(seed, off, size, n_steps, dt, d)
+        for _, x, _ in engine.require_alive(engine.sweep(model, starts[part], dt, inc)):
             nrm = np.linalg.norm(x, axis=-1)
             for r in radii:
-                hit = (~loc_stopped[r]) & (nrm >= r)
-                loc_stopped[r] |= hit
-                loc_frozen[r][hit] = f_mom(x[hit])
-        for r in radii:
-            frozen[r][off : off + size] = loc_frozen[r]
-            stopped[r][off : off + size] = loc_stopped[r]
-        final[off : off + size] = x
+                hit = ~stopped[r][part] & (nrm >= r)
+                stopped[r][part] |= hit
+                frozen[r][part][hit] = f_mom(x[hit])
+        final[part] = x
 
     rows = []
     exit_probs = []
@@ -637,28 +627,20 @@ def stationarity_check(
     starts = ensemble.points[: min(n_paths, ensemble.count)]
     n = starts.shape[0]
     d = model.dim
-    t_max = t_grid[-1]
-    n_steps = engine.steps_for(t_max, dt)
-    grid_idx = {engine.steps_for(t, dt): t for t in t_grid}
-
-    base = {f.name: np.empty(n) for f in battery}
-    at_t = {(f.name, t): np.empty(n) for f in battery for t in t_grid}
+    n_steps = engine.steps_for(t_grid[-1], dt)
+    marks = {0, *(engine.steps_for(t, dt) for t in t_grid)}
+    values = {(f.name, k): np.empty(n) for f in battery for k in marks}
     for off, size in engine.batch_sizes(n, n_steps, d):
-        x = starts[off : off + size].copy()
         inc = engine.increments_block(seed, off, size, n_steps, dt, d)
-        for f in battery:
-            base[f.name][off : off + size] = f.value(x)
-        for k in range(n_steps):
-            x = x + total_drift(model, x) * dt + inc[:, k]
-            if (k + 1) in grid_idx:
-                t = grid_idx[k + 1]
+        for k, x, _ in engine.require_alive(engine.sweep(model, starts[off : off + size], dt, inc)):
+            if k in marks:
                 for f in battery:
-                    at_t[(f.name, t)][off : off + size] = f.value(x)
+                    values[(f.name, k)][off : off + size] = f.value(x)
 
     rows = []
     for f in battery:
         for t in t_grid:
-            diff = at_t[(f.name, t)] - base[f.name]
+            diff = values[(f.name, engine.steps_for(t, dt))] - values[(f.name, 0)]
             mean = float(np.mean(diff))
             se = float(np.std(diff, ddof=1) / math.sqrt(n))
             rows.append(StationarityRow(name=f.name, t=t, drift=mean, std_error=se))

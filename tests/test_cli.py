@@ -112,6 +112,12 @@ def test_missing_config_file(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+def test_threads_below_one_is_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "t.ini", paths=5)
+    assert main(["simulate", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -162,10 +168,11 @@ def test_gradient_writes_rows_per_component_and_route(tmp_path):
     assert "# identity_check=pass" in body
 
 
-def test_gradient_unknown_function(tmp_path):
+def test_gradient_unknown_function(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "g.ini")
-    with pytest.raises(KeyError):
-        main(["gradient", "--config", str(cfg_path), "--function", "nope", "--x", "0.0"])
+    code = main(["gradient", "--config", str(cfg_path), "--function", "nope", "--x", "0.0"])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_gradient_policy_violation_is_config_error(tmp_path):

@@ -1,0 +1,46 @@
+"""The shared Euler sweep: one radius guard for every path simulation."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+import divflow as dv
+from divflow import engine
+
+# DW1D started at x = 3 with dt = 0.5 explodes within a horizon of 2.
+_POLICY = dv.HorizonPolicy(t0=2.0, gamma0=8.0, r=4.0)
+_CHECKS = {
+    "decay": lambda model, ens: dv.decay_check(
+        model, dv.coordinate(0, 1), (0.0, 2.0), ens, n_outer=20, inner_paths=5, dt=0.5, seed=1
+    ),
+    "stationarity": lambda model, ens: dv.stationarity_check(
+        model, [dv.coordinate(0, 1)], ens, t_grid=(2.0,), n_paths=20, dt=0.5, seed=1
+    ),
+    "moment_bound": lambda model, ens: dv.moment_bound_check(
+        model, dv.MomentTestConfig(rho=0.4, radii=(3.0, 5.0), horizon=2.0), ens,
+        n_paths=20, dt=0.5, seed=1,
+    ),
+    "gronwall": lambda model, ens: dv.gronwall_sweep(model, ens.points, _POLICY, dt=0.5, seed=1),
+    "trace_moment": lambda model, ens: dv.trace_moment_check(model, ens, _POLICY, dt=0.5, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHECKS))
+def test_checks_raise_at_the_first_guard_exit(dw1d, name):
+    ensemble = dv.StationaryEnsemble(points=np.full((20, 1), 3.0), provenance="exact")
+    with pytest.raises(dv.IntegrationError) as err:
+        _CHECKS[name](dw1d.model, ensemble)
+    assert err.value.step >= 1
+
+
+def test_flow_summary_and_euler_sweep_share_the_guard(ou1d):
+    x, t_end, dt, n_paths, seed = 0.5, 1.0, 0.01, 400, 3
+    n = engine.steps_for(t_end, dt)
+    inc = engine.increments_block(seed, 0, n_paths, n, dt, 1)
+    _, exit_step = engine.euler_sweep(
+        ou1d.model, np.full((n_paths, 1), x), dt, inc, r_guard=1.0, store=False
+    )
+    summary = dv.flow_summary(ou1d.model, [x], t_end, dt, n_paths, seed=seed, r_guard=1.0)
+    assert 0 < np.count_nonzero(exit_step >= 0) < n_paths
+    assert_array_equal(summary.alive, exit_step < 0)
