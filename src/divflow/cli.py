@@ -35,18 +35,19 @@ from .errors import (
     IntegrationError,
     PolicyError,
 )
-from .estimator import flow_summary, ibp_from_summary
+from .estimator import IbpReport, flow_summary, ibp_from_summary
 from .functions import TestFunction, battery_for, by_name, coordinate, shifted
-from .model import TestProblem, apply_generator, consistency_report, make_problem
+from .model import TestProblem, consistency_report, make_problem
 from .norms import (
     MomentTestConfig,
+    NormProfile,
     balanced_horizon,
-    check_gradient_inequality,
-    check_hessian_inequality,
     decay_check,
     exp_integrability,
-    lp_norm,
+    gradient_from_profiles,
+    hessian_from_profiles,
     moment_bound_check,
+    norm_profile,
     operator_symmetry_check,
     r_exponent,
     stationarity_check,
@@ -229,34 +230,36 @@ def _build_problem(config: ExperimentConfig) -> TestProblem:
     return make_problem(config.tag, **config.problem_params)
 
 
-def _build_ensemble(config: ExperimentConfig, problem: TestProblem) -> StationaryEnsemble:
-    seed = config.seed + _SEED_TAGS["ensemble"]
-    if problem.stationary_sampler is not None:
-        return sample_stationary(problem, config.ensemble, method="exact", seed=seed)
-    return sample_stationary(problem, config.ensemble, method="langevin", seed=seed)
+def _build_ensemble(problem: TestProblem, count: int, seed: int) -> StationaryEnsemble:
+    """Exact stationary draws where the problem has a sampler, else MALA chains."""
+    method = "exact" if problem.stationary_sampler is not None else "langevin"
+    return sample_stationary(problem, count, method=method, seed=seed)
+
+
+def _battery_profiles(
+    config: ExperimentConfig, problem: TestProblem, battery: Sequence[TestFunction]
+) -> tuple[StationaryEnsemble, list[NormProfile]]:
+    """The invariant-law ensemble and the norms of every battery function on it."""
+    ensemble = _build_ensemble(problem, config.ensemble, config.seed + _SEED_TAGS["ensemble"])
+    profiles = [norm_profile(problem.model, f, ensemble, config.p, config.q) for f in battery]
+    return ensemble, profiles
 
 
 def resolve_t0(
-    config: ExperimentConfig,
-    problem: TestProblem,
-    ensemble: StationaryEnsemble,
-    battery: Sequence[TestFunction],
+    config: ExperimentConfig, problem: TestProblem, profiles: Sequence[NormProfile]
 ) -> float:
     """Pick the control horizon: fixed value, or the balanced-form minimiser.
 
-    For "auto", take the battery-wide minimiser from `balanced_horizon`.
+    For "auto", take the battery-wide minimiser from `balanced_horizon` over
+    the battery's norm profiles; a fixed t0 reads no profile.
     """
     gamma0 = config.gamma0 if config.gamma0 is not None else problem.gamma0_default
     t_star = gamma0 / config.r
     if not isinstance(config.t0, str):
         return float(config.t0)
-    pts = ensemble.points
-    gen_norms = [
-        lp_norm(np.abs(apply_generator(problem.model, f, pts)), config.q, ensemble).value
-        for f in battery
-    ]
-    f_norms = [lp_norm(np.abs(f.value(pts)), config.q, ensemble).value for f in battery]
-    t0 = balanced_horizon(gen_norms, f_norms, t_star)
+    t0 = balanced_horizon(
+        [prof.gen_lq.value for prof in profiles], [prof.f_lq.value for prof in profiles], t_star
+    )
     # Snap onto the simulation grid without crossing the admissible range.
     steps = max(1, int(round(t0 / config.dt)))
     while steps * config.dt > t_star and steps > 1:
@@ -276,6 +279,35 @@ def _csv_header(config: ExperimentConfig, extra: Optional[dict] = None) -> list[
     return [f"# {key}={val}" for key, val in meta.items()]
 
 
+def _point(x) -> str:
+    return ";".join(_fmt(v) for v in x)
+
+
+_ROUTE_COLUMNS = "problem,f,x,route,t0,component,estimate,se,N,seed"
+
+
+def _both_routes(rep: IbpReport) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    return [
+        ("frechet", rep.frechet.estimate, rep.frechet.std_error),
+        ("malliavin", rep.malliavin.estimate, rep.malliavin.std_error),
+    ]
+
+
+def _route_rows(config: ExperimentConfig, name: str, rep: IbpReport, routes) -> list[str]:
+    """`_ROUTE_COLUMNS` rows, one per (route, estimate, se) triple and component.
+
+    The point, horizon and path count are those of the kernel pass behind `rep`.
+    """
+    est = rep.frechet
+    head = [config.tag, name, _point(est.x)]
+    tail = [str(est.n_paths), str(config.seed)]
+    return [
+        ",".join(head + [route, _fmt(est.horizon), str(j), _fmt(value[j]), _fmt(se[j])] + tail)
+        for route, value, se in routes
+        for j in range(len(value))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -289,12 +321,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     out = Path(config.out_dir)
     n = engine.steps_for(config.horizon, config.dt)
 
-    ensemble = sample_stationary(
-        problem,
-        config.paths,
-        method="exact" if problem.stationary_sampler is not None else "langevin",
-        seed=config.seed + _SEED_TAGS["simulate"],
-    )
+    ensemble = _build_ensemble(problem, config.paths, config.seed + _SEED_TAGS["simulate"])
     coord_cols = [f"x_{j + 1}" for j in range(d)]
     failures: list[tuple[int, int]] = []
     stats_rows = []
@@ -351,16 +378,15 @@ def cmd_gradient(
 ) -> int:
     """Run both gradient routes plus the identity check for one function."""
     problem = _build_problem(config)
-    model = problem.model
     battery = battery_for(problem)
     f = by_name(battery, f_id)
-    x = _parse_point(x_text, model.dim)
-    ensemble = _build_ensemble(config, problem)
-    t0 = resolve_t0(config, problem, ensemble, battery)
-    policy = config.policy_for(problem, t0=t0)
+    x = _parse_point(x_text, problem.model.dim)
+    # Only t0 = auto reads the battery norms; the ensemble has its own stream.
+    profiles = _battery_profiles(config, problem, battery)[1] if isinstance(config.t0, str) else []
+    policy = config.policy_for(problem, t0=resolve_t0(config, problem, profiles))
 
     summary = flow_summary(
-        model,
+        problem.model,
         x,
         policy.t0,
         config.dt,
@@ -373,37 +399,14 @@ def cmd_gradient(
     )
     report = ibp_from_summary(f, summary)
 
-    out = Path(config.out_dir)
     lines = _csv_header(config, {"f": f.name, "x": " ".join(_fmt(v) for v in x)})
-    lines.append("problem,f,x,route,t0,component,estimate,se,N,seed")
-    x_str = ";".join(_fmt(v) for v in x)
-
-    def emit(route: str, est, se):
-        for j in range(model.dim):
-            lines.append(
-                ",".join(
-                    [
-                        config.tag,
-                        f.name,
-                        x_str,
-                        route,
-                        _fmt(policy.t0),
-                        str(j),
-                        _fmt(est[j]),
-                        _fmt(se[j]),
-                        str(config.paths),
-                        str(config.seed),
-                    ]
-                )
-            )
-
-    emit("frechet", report.frechet.estimate, report.frechet.std_error)
-    emit("malliavin", report.malliavin.estimate, report.malliavin.std_error)
-    emit("residual", report.residual, report.residual_se)
+    lines.append(_ROUTE_COLUMNS)
+    routes = _both_routes(report) + [("residual", report.residual, report.residual_se)]
+    lines += _route_rows(config, f.name, report, routes)
     lines.append(f"# identity_check={'pass' if report.passed else 'FAIL'}")
-    _write_lines(out / "gradient.csv", lines)
+    _write_lines(Path(config.out_dir) / "gradient.csv", lines)
     print(
-        f"{config.tag} {f.name} at {x_str}: identity check "
+        f"{config.tag} {f.name} at {_point(x)}: identity check "
         f"{'pass' if report.passed else 'FAIL'}"
     )
     return EXIT_OK
@@ -419,17 +422,36 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    report: object = None  # what the check computed; the output writers read it
 
 
-def _reference_point(tag: str, dim: int):
-    refs = {"OU1D": [0.3], "ROT2D": [0.2, -0.1], "VARH2D": [0.2, -0.1], "DW1D": [0.0]}
-    return np.asarray(refs.get(tag, [0.0] * dim))
+@dataclass(frozen=True)
+class VerifyContext:
+    """What the verify checks share, built once per run."""
+
+    config: ExperimentConfig
+    problem: TestProblem
+    battery: list[TestFunction]
+    ensemble: StationaryEnsemble
+    profiles: list[NormProfile]  # norms of each battery function, aligned with battery
+    policy: HorizonPolicy
+    negate_control: bool
+
+    @property
+    def model(self):
+        return self.problem.model
 
 
-def _decay_plan(tag: str) -> tuple[tuple[float, ...], float]:
-    if tag == "DW1D":
-        return (0.0, 2.0, 10.0), 1.0e-2
-    return (0.0, 1.0, 5.0), 1.0e-2
+def _verify_context(config: ExperimentConfig, negate_control: bool = False) -> VerifyContext:
+    problem = _build_problem(config)
+    battery = battery_for(problem)
+    ensemble, profiles = _battery_profiles(config, problem, battery)
+    policy = config.policy_for(problem, t0=resolve_t0(config, problem, profiles))
+    return VerifyContext(config, problem, battery, ensemble, profiles, policy, negate_control)
+
+
+# Where the ibp_identity check evaluates both gradient routes.
+_REFERENCE_POINTS = {"OU1D": [0.3], "ROT2D": [0.2, -0.1], "VARH2D": [0.2, -0.1], "DW1D": [0.0]}
 
 
 def _mu_mean_1d(problem: TestProblem, f: TestFunction) -> float:
@@ -445,306 +467,259 @@ def _mu_mean_1d(problem: TestProblem, f: TestFunction) -> float:
     return num / z
 
 
-def run_verify(config: ExperimentConfig, negate_control: bool = False) -> tuple[list[CheckResult], dict]:
-    """Run every check on the configured problem; returns results and artifacts."""
-    problem = _build_problem(config)
-    model = problem.model
-    battery = battery_for(problem)
-    ensemble = _build_ensemble(config, problem)
-    t0 = resolve_t0(config, problem, ensemble, battery)
-    policy = config.policy_for(problem, t0=t0)
-    seed = config.seed
-    results: list[CheckResult] = []
-    artifacts: dict = {"policy": policy}
+# The twelve checks, in report order.  Each reads the shared context and
+# calls the library directly, so a trace attributes its work to the check.
 
-    # 1. structural coefficient identities on sampled points
-    rep = consistency_report(model, ensemble.points[:100])
-    ok = max(rep.values()) < 1.0e-6
-    results.append(
-        CheckResult("coefficients", ok, f"max structural deviation {max(rep.values()):.2e}")
-    )
 
-    # 2. operator symmetry on six battery pairs
-    pairs = [
-        (battery[0], battery[0]),
-        (battery[0], battery[1]),
-        (battery[1], battery[2]),
-        (battery[2], battery[3]),
-        (battery[3], battery[0]),
-        (battery[1], battery[1]),
-    ]
-    sym = operator_symmetry_check(model, pairs, ensemble)
+def _coefficients(ctx: VerifyContext) -> CheckResult:
+    """Structural coefficient identities on sampled points."""
+    rep = consistency_report(ctx.model, ctx.ensemble.points[:100])
+    worst = max(rep.values())
+    return CheckResult("coefficients", worst < 1.0e-6, f"max structural deviation {worst:.2e}", rep)
+
+
+def _operator_symmetry(ctx: VerifyContext) -> CheckResult:
+    """L symmetric and A antisymmetric under mu, on six battery pairs."""
+    b = ctx.battery
+    pairs = [(b[0], b[0]), (b[0], b[1]), (b[1], b[2]), (b[2], b[3]), (b[3], b[0]), (b[1], b[1])]
+    sym = operator_symmetry_check(ctx.model, pairs, ctx.ensemble)
     worst = max(
         max(abs(r.sym_residual) / (3 * r.sym_se + 1e-300), abs(r.antisym_residual) / (3 * r.antisym_se + 1e-300))
         for r in sym.rows
     )
-    results.append(CheckResult("operator_symmetry", sym.passed, f"worst residual {worst:.2f} x 3SE"))
-    artifacts["symmetry"] = sym
+    return CheckResult("operator_symmetry", sym.passed, f"worst residual {worst:.2f} x 3SE", sym)
 
-    # 3. stationarity of ensemble averages along the flow
+
+def _stationarity(ctx: VerifyContext) -> CheckResult:
+    """Ensemble averages stay put along the flow."""
     stat = stationarity_check(
-        model,
-        battery[:6],
-        ensemble,
+        ctx.model,
+        ctx.battery[:6],
+        ctx.ensemble,
         t_grid=(1.0, 5.0),
-        n_paths=min(config.paths, 8000),
+        n_paths=min(ctx.config.paths, 8000),
         dt=5.0e-3,
-        seed=seed + _SEED_TAGS["stationarity"],
+        seed=ctx.config.seed + _SEED_TAGS["stationarity"],
     )
-    results.append(
-        CheckResult("stationarity", stat.passed, f"{len(stat.rows)} (f, t) cells at 3 SE")
-    )
+    return CheckResult("stationarity", stat.passed, f"{len(stat.rows)} (f, t) cells at 3 SE", stat)
 
-    # 4. control discrepancy: vanishing after the horizon, two routes agree
+
+def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
+    """The discrepancy T vanishes after the horizon, and its two routes agree."""
+    config, model, policy = ctx.config, ctx.model, ctx.policy
     dt_flow = 5.0e-4
-    const_coeff = config.tag in ("OU1D", "ROT2D")
-    route_tol = 1.0e-6 if const_coeff else 1.0e-4
+    route_tol = 1.0e-6 if config.tag in ("OU1D", "ROT2D") else 1.0e-4
     theta_max = 0.0
     mismatch_max = 0.0
     n_flow = engine.steps_for(2.0 * policy.t0, dt_flow)
     for k in range(3):
-        noise = WienerGrid.generate(seed + _SEED_TAGS["control"], k, n_flow, dt_flow, model.dim)
+        noise = WienerGrid.generate(config.seed + _SEED_TAGS["control"], k, n_flow, dt_flow, model.dim)
         traj = simulate_path(
-            model, ensemble.points[k], 2.0 * policy.t0, dt_flow, noise, r_guard=config.r_guard
+            model, ctx.ensemble.points[k], 2.0 * policy.t0, dt_flow, noise, r_guard=config.r_guard
         )
         jac = drift_jacobian_path(model, traj)
-        c = fundamental_matrix(jac)
-        control = build_control(c, policy)
-        if negate_control:
-            control = replace(
-                control, values=-control.values, boundary=-control.boundary
-            )
+        control = build_control(fundamental_matrix(jac), policy)
+        if ctx.negate_control:
+            control = replace(control, values=-control.values, boundary=-control.boundary)
         theta = theta_flow(jac, control)
-        n0 = control.horizon_index
-        theta_max = max(theta_max, float(np.max(np.abs(theta.ode[n0:]))))
+        theta_max = max(theta_max, float(np.max(np.abs(theta.ode[control.horizon_index :]))))
         mismatch_max = max(mismatch_max, theta.route_mismatch)
-    ok = theta_max < 1.0e-5 and mismatch_max < route_tol
-    results.append(
-        CheckResult(
-            "control_discrepancy",
-            ok,
-            f"max |T| after horizon {theta_max:.2e}, route mismatch {mismatch_max:.2e}",
-        )
+    return CheckResult(
+        "control_discrepancy",
+        theta_max < 1.0e-5 and mismatch_max < route_tol,
+        f"max |T| after horizon {theta_max:.2e}, route mismatch {mismatch_max:.2e}",
     )
 
-    # 5. pathwise growth bound
+
+def _gronwall(ctx: VerifyContext) -> CheckResult:
+    """Pathwise exponential growth bound on the control."""
     slack, gap = gronwall_sweep(
-        model,
-        ensemble.points[: min(1000, ensemble.count)],
-        policy,
-        dt=config.dt,
-        seed=seed + _SEED_TAGS["gronwall"],
+        ctx.model,
+        ctx.ensemble.points[:1000],
+        ctx.policy,
+        dt=ctx.config.dt,
+        seed=ctx.config.seed + _SEED_TAGS["gronwall"],
     )
-    results.append(
-        CheckResult("gronwall", slack <= 1.0e-4, f"max slack {slack:.2e}, max gap {gap:.2e}")
-    )
+    return CheckResult("gronwall", slack <= 1.0e-4, f"max slack {slack:.2e}, max gap {gap:.2e}", (slack, gap))
 
-    # 6. trace moment estimate
-    sub = StationaryEnsemble(
-        points=ensemble.points[: min(2000, ensemble.count)],
-        provenance=ensemble.provenance,
-        diagnostics=ensemble.diagnostics,
-        n_chains=ensemble.n_chains,
-    )
+
+def _trace_moment(ctx: VerifyContext) -> CheckResult:
+    """Time-averaged trace moment estimate."""
     trace = trace_moment_check(
-        model,
-        sub,
-        policy,
+        ctx.model,
+        replace(ctx.ensemble, points=ctx.ensemble.points[:2000]),
+        ctx.policy,
         paths_per_point=2,
-        dt=config.dt,
-        seed=seed + _SEED_TAGS["trace"],
-        tag=config.tag,
+        dt=ctx.config.dt,
+        seed=ctx.config.seed + _SEED_TAGS["trace"],
+        tag=ctx.config.tag,
     )
-    results.append(
-        CheckResult(
-            "trace_moment",
-            trace.passed,
-            f"lhs {trace.lhs:.4f} <= rhs {trace.rhs:.4f} (margin {trace.margin:.4f})",
-        )
+    return CheckResult(
+        "trace_moment",
+        trace.passed,
+        f"lhs {trace.lhs:.4f} <= rhs {trace.rhs:.4f} (margin {trace.margin:.4f})",
+        trace,
     )
-    artifacts["trace"] = trace
 
-    # 7. gradient-route identity over the battery at the reference point
-    x_ref = _reference_point(config.tag, model.dim)
+
+def _ibp_identity(ctx: VerifyContext) -> CheckResult:
+    """Both gradient routes agree over the battery at the reference point."""
+    config, policy = ctx.config, ctx.policy
     summary = flow_summary(
-        model,
-        x_ref,
+        ctx.model,
+        _REFERENCE_POINTS[config.tag],
         policy.t0,
         config.dt,
         min(config.paths, 20000),
-        seed=seed + _SEED_TAGS["gradient"],
+        seed=config.seed + _SEED_TAGS["gradient"],
         t0=policy.t0,
-        negate_control=negate_control,
+        negate_control=ctx.negate_control,
         r_guard=config.r_guard,
         threads=config.threads,
     )
-    ibp_rows = []
-    ibp_ok = True
-    for f in battery:
-        rep_f = ibp_from_summary(f, summary)
-        ibp_rows.append((f.name, rep_f))
-        ibp_ok &= rep_f.passed
-    results.append(
-        CheckResult("ibp_identity", ibp_ok, f"{len(battery)} functions at 3 SE, common noise")
+    reports = {f.name: ibp_from_summary(f, summary) for f in ctx.battery}
+    return CheckResult(
+        "ibp_identity",
+        all(rep.passed for rep in reports.values()),
+        f"{len(reports)} functions at 3 SE, common noise",
+        reports,
     )
-    artifacts["ibp"] = ibp_rows
 
-    # 8. first-derivative bound
-    grad_rep = check_gradient_inequality(model, battery, config.p, config.q, policy, ensemble)
-    results.append(
-        CheckResult(
-            "gradient_inequality",
-            grad_rep.passed,
-            f"max ratio {max(r.ratio for r in grad_rep.rows):.3f} vs C={grad_rep.constant:.3f}",
-        )
-    )
-    artifacts["gradient_inequality"] = grad_rep
 
-    # 9. second-derivative bound (fitted constant)
-    hess_rep = check_hessian_inequality(model, battery, config.p, config.q, ensemble)
-    results.append(
-        CheckResult(
-            "hessian_inequality",
-            hess_rep.passed and math.isfinite(hess_rep.constant),
-            f"fitted constant {hess_rep.constant:.3f}",
-        )
+def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
+    """First-derivative bound with the theoretical constant."""
+    c = ctx.config
+    rep = gradient_from_profiles(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.ensemble)
+    return CheckResult(
+        "gradient_inequality",
+        rep.passed,
+        f"max ratio {max(r.ratio for r in rep.rows):.3f} vs C={rep.constant:.3f}",
+        rep,
     )
-    artifacts["hessian_inequality"] = hess_rep
 
-    # 10. exponential integrability
-    integ = exp_integrability(
-        model, ensemble, policy.gamma0
-    )
-    results.append(
-        CheckResult(
-            "exp_integrability",
-            math.isfinite(integ.value) and not integ.heavy_tail,
-            f"E(gamma0={policy.gamma0:g}) = {integ.value:.4f} +- {integ.std_error:.4f}",
-        )
-    )
-    artifacts["exp_integrability"] = integ
 
-    # 11. semigroup decay for a centred function
-    t_grid, dt_decay = _decay_plan(config.tag)
+def _hessian_inequality(ctx: VerifyContext) -> CheckResult:
+    """Second-derivative bound with a fitted constant."""
+    rep = hessian_from_profiles(ctx.model, ctx.profiles, ctx.config.p, ctx.config.q, ctx.ensemble)
+    return CheckResult(
+        "hessian_inequality",
+        rep.passed and math.isfinite(rep.constant),
+        f"fitted constant {rep.constant:.3f}",
+        rep,
+    )
+
+
+def _exp_integrability(ctx: VerifyContext) -> CheckResult:
+    """E(gamma0) is finite and not carried by a heavy tail."""
+    integ = exp_integrability(ctx.model, ctx.ensemble, ctx.policy.gamma0)
+    return CheckResult(
+        "exp_integrability",
+        math.isfinite(integ.value) and not integ.heavy_tail,
+        f"E(gamma0={ctx.policy.gamma0:g}) = {integ.value:.4f} +- {integ.std_error:.4f}",
+        integ,
+    )
+
+
+def _decay(ctx: VerifyContext) -> CheckResult:
+    """Semigroup decay of a centred function."""
+    model, problem = ctx.model, ctx.problem
     if model.dim == 1 and problem.stationary_sampler is None:
-        f_dec = shifted(battery[0], _mu_mean_1d(problem, battery[0]))
+        f_dec = shifted(ctx.battery[0], _mu_mean_1d(problem, ctx.battery[0]))
     else:
         f_dec = coordinate(0, model.dim)
     decay = decay_check(
         model,
         f_dec,
-        t_grid,
-        ensemble,
+        (0.0, 2.0, 10.0) if ctx.config.tag == "DW1D" else (0.0, 1.0, 5.0),
+        ctx.ensemble,
         n_outer=1000,
         inner_paths=100,
-        dt=dt_decay,
-        seed=seed + _SEED_TAGS["decay"],
+        dt=1.0e-2,
+        seed=ctx.config.seed + _SEED_TAGS["decay"],
     )
-    results.append(
-        CheckResult(
-            "decay",
-            decay.passed,
-            "norms "
-            + " -> ".join(f"{pt.norm:.4f}" for pt in decay.points)
-            + f" (final ratio {decay.final_ratio:.3f})",
-        )
+    return CheckResult(
+        "decay",
+        decay.passed,
+        "norms "
+        + " -> ".join(f"{pt.norm:.4f}" for pt in decay.points)
+        + f" (final ratio {decay.final_ratio:.3f})",
+        decay,
     )
-    artifacts["decay"] = decay
 
-    # 12. stopped-moment bound and exit probabilities
+
+def _moment_bound(ctx: VerifyContext) -> CheckResult:
+    """Stopped-moment bound and exit probabilities."""
     mom = moment_bound_check(
-        model,
+        ctx.model,
         MomentTestConfig(rho=0.4, radii=(3.0, 5.0, 8.0), horizon=5.0),
-        ensemble,
-        n_paths=min(config.paths, 5000),
-        dt=config.dt,
-        seed=seed + _SEED_TAGS["moment"],
+        ctx.ensemble,
+        n_paths=min(ctx.config.paths, 5000),
+        dt=ctx.config.dt,
+        seed=ctx.config.seed + _SEED_TAGS["moment"],
     )
-    results.append(
-        CheckResult(
-            "moment_bound",
-            mom.passed,
-            f"moments <= {mom.bound:.3f}, exits "
-            + " >= ".join(f"{r.exit_probability:.4f}" for r in mom.rows),
-        )
+    return CheckResult(
+        "moment_bound",
+        mom.passed,
+        f"moments <= {mom.bound:.3f}, exits "
+        + " >= ".join(f"{r.exit_probability:.4f}" for r in mom.rows),
+        mom,
     )
-    artifacts["moment_bound"] = mom
-    return results, artifacts
 
 
-def _write_verify_outputs(
-    config: ExperimentConfig, results: list[CheckResult], artifacts: dict
-) -> None:
+CHECKS = (
+    _coefficients,
+    _operator_symmetry,
+    _stationarity,
+    _control_discrepancy,
+    _gronwall,
+    _trace_moment,
+    _ibp_identity,
+    _gradient_inequality,
+    _hessian_inequality,
+    _exp_integrability,
+    _decay,
+    _moment_bound,
+)
+
+
+def run_verify(
+    config: ExperimentConfig, negate_control: bool = False
+) -> tuple[list[CheckResult], VerifyContext]:
+    """Build the shared context and run every check in `CHECKS` order."""
+    ctx = _verify_context(config, negate_control)
+    return [check(ctx) for check in CHECKS], ctx
+
+
+def _write_verify_outputs(ctx: VerifyContext, results: list[CheckResult]) -> None:
+    config, policy = ctx.config, ctx.policy
     out = Path(config.out_dir)
-    policy = artifacts["policy"]
+    reports = {res.name: res.report for res in results}
+    grad_rep = reports["gradient_inequality"]
 
     lines = _csv_header(config, {"t0": _fmt(policy.t0), "r": _fmt(policy.r)})
     lines.append("f,p,q,t0,f_lq,gen_lq,grad_lp,hess_lp,sobolev_1p,sobolev_2p,C,ratio,verdict")
-    grad_rep = artifacts["gradient_inequality"]
-    problem = _build_problem(config)
     for row, prof in zip(grad_rep.rows, grad_rep.profiles):
+        norms = (prof.f_lq, prof.gen_lq, prof.grad_lp, prof.hess_lp, prof.sobolev_1p, prof.sobolev_2p)
         lines.append(
             ",".join(
-                [
-                    row.name,
-                    _fmt(config.p),
-                    _fmt(config.q),
-                    _fmt(policy.t0),
-                    _fmt(prof.f_lq.value),
-                    _fmt(prof.gen_lq.value),
-                    _fmt(prof.grad_lp.value),
-                    _fmt(prof.hess_lp.value),
-                    _fmt(prof.sobolev_1p.value),
-                    _fmt(prof.sobolev_2p.value),
-                    _fmt(grad_rep.constant),
-                    _fmt(row.ratio),
-                    "pass" if row.passed else "FAIL",
-                ]
+                [row.name, _fmt(config.p), _fmt(config.q), _fmt(policy.t0)]
+                + [_fmt(n.value) for n in norms]
+                + [_fmt(grad_rep.constant), _fmt(row.ratio), "pass" if row.passed else "FAIL"]
             )
         )
     _write_lines(out / "norms.csv", lines)
 
-    trace = artifacts["trace"]
+    trace = reports["trace_moment"]
     tlines = _csv_header(config)
     tlines.append("problem,t0,r,lhs,rhs,margin,se")
-    tlines.append(
-        ",".join(
-            [
-                trace.tag,
-                _fmt(trace.t0),
-                _fmt(trace.r),
-                _fmt(trace.lhs),
-                _fmt(trace.rhs),
-                _fmt(trace.margin),
-                _fmt(trace.combined_se),
-            ]
-        )
-    )
+    values = (trace.t0, trace.r, trace.lhs, trace.rhs, trace.margin, trace.combined_se)
+    tlines.append(",".join([trace.tag] + [_fmt(v) for v in values]))
     _write_lines(out / "trace.csv", tlines)
 
     glines = _csv_header(config)
-    glines.append("problem,f,x,route,t0,component,estimate,se,N,seed")
-    x_ref = _reference_point(config.tag, problem.model.dim)
-    x_str = ";".join(_fmt(v) for v in x_ref)
-    for name, rep in artifacts["ibp"]:
-        for route, est in (("frechet", rep.frechet), ("malliavin", rep.malliavin)):
-            for j in range(problem.model.dim):
-                glines.append(
-                    ",".join(
-                        [
-                            config.tag,
-                            name,
-                            x_str,
-                            route,
-                            _fmt(policy.t0),
-                            str(j),
-                            _fmt(est.estimate[j]),
-                            _fmt(est.std_error[j]),
-                            str(est.n_paths),
-                            str(config.seed),
-                        ]
-                    )
-                )
+    glines.append(_ROUTE_COLUMNS)
+    for name, rep in reports["ibp_identity"].items():
+        glines += _route_rows(config, name, rep, _both_routes(rep))
     _write_lines(out / "gradient_routes.csv", glines)
 
     md = [
@@ -755,7 +730,7 @@ def _write_verify_outputs(
         f"- horizon policy: t0 = {_fmt(policy.t0)}, gamma0 = {_fmt(policy.gamma0)}, r = {_fmt(policy.r)}",
         f"- (p, q) = ({_fmt(config.p)}, {_fmt(config.q)})",
         f"- theoretical constant C = {_fmt(grad_rep.constant)} "
-        f"(E(gamma0) = {_fmt(artifacts['exp_integrability'].value)})",
+        f"(E(gamma0) = {_fmt(reports['exp_integrability'].value)})",
         "",
         "| check | verdict | detail |",
         "|---|---|---|",
@@ -772,8 +747,8 @@ def _write_verify_outputs(
 
 
 def cmd_verify(config: ExperimentConfig, negate_control: bool = False) -> int:
-    results, artifacts = run_verify(config, negate_control=negate_control)
-    _write_verify_outputs(config, results, artifacts)
+    results, ctx = run_verify(config, negate_control=negate_control)
+    _write_verify_outputs(ctx, results)
     failures = [r for r in results if not r.passed]
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")

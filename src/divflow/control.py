@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,7 +75,6 @@ class ControlPath:
     t0: float
     horizon_index: int
     boundary: Array  # (d, d) left limit of g at t0
-    trajectory: Optional[Trajectory] = None
 
     @property
     def dt(self) -> float:
@@ -100,13 +98,10 @@ def build_control(c: FundamentalMatrix, policy: HorizonPolicy) -> ControlPath:
         t0=t0,
         horizon_index=n0,
         boundary=boundary,
-        trajectory=c.trajectory,
     )
 
 
-def constant_control(
-    matrix: Array, t0: float, n_steps: int, dt: float, trajectory: Optional[Trajectory] = None
-) -> ControlPath:
+def constant_control(matrix: Array, t0: float, n_steps: int, dt: float) -> ControlPath:
     """Time-constant control on [0, t0); useful for direct integral checks."""
     matrix = np.asarray(matrix, dtype=float)
     d = matrix.shape[0]
@@ -122,7 +117,6 @@ def constant_control(
         t0=t0,
         horizon_index=min(n0, n_steps),
         boundary=matrix.copy(),
-        trajectory=trajectory,
     )
 
 

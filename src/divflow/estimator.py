@@ -311,23 +311,24 @@ def grad_generator_variant(
     m = inner_paths
     n = summary.n_paths
 
-    def lf(points):
-        return apply_generator(model, f, points)
-
     if n_inner_steps == 0:
-        inner_mean = lf(summary.states)
+        inner_mean = apply_generator(model, f, summary.states)
         inner_var = np.zeros(n)
     else:
+        # Inner path i keeps noise index n + i; those of exited outer paths
+        # are not run, and an inner guard exit stops the estimate.
         starts = np.repeat(summary.states, m, axis=0)
-        vals = np.empty(n * m)
+        live = np.repeat(alive, m)
+        vals = np.zeros(n * m)
         for off, size in engine.batch_sizes(n * m, n_inner_steps, d):
-            inc = engine.increments_block(
-                seed, n + off, size, n_inner_steps, dt, d
-            )
-            end, _ = engine.euler_sweep(
-                model, starts[off : off + size], dt, inc, store=False
-            )
-            vals[off : off + size] = lf(end)
+            part = slice(off, off + size)
+            keep = live[part]
+            inc = engine.increments_block(seed, n + off, size, n_inner_steps, dt, d)
+            if not keep.all():
+                inc = inc[keep]
+            for _, end, _ in engine.require_alive(engine.sweep(model, starts[part][keep], dt, inc)):
+                pass
+            vals[part][keep] = apply_generator(model, f, end)
         vals = vals.reshape(n, m)
         inner_mean = vals.mean(axis=1)
         inner_var = vals.var(axis=1, ddof=1) / m

@@ -256,6 +256,24 @@ def check_gradient_inequality(
 ) -> InequalityReport:
     """Test the first-derivative bound for every battery function.
 
+    Computes each function's `norm_profile` and hands them to
+    `gradient_from_profiles`.
+    """
+    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
+    return gradient_from_profiles(model, profiles, p, q, policy, ensemble, t0_grid_size)
+
+
+def gradient_from_profiles(
+    model: CoefficientModel,
+    profiles: Sequence[NormProfile],
+    p: float,
+    q: float,
+    policy: HorizonPolicy,
+    ensemble: StationaryEnsemble,
+    t0_grid_size: int = 8,
+) -> InequalityReport:
+    """The first-derivative bound on norms already computed.
+
     Also scans the horizon-balanced right side
     C (sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0)) over a log grid in
     (0, t_star] and reports the minimising horizon per function.
@@ -263,7 +281,6 @@ def check_gradient_inequality(
     r = r_exponent(p, q)
     integ = exp_integrability(model, ensemble, policy.gamma0)
     constant = constant_c(model.dim, r, integ.value)
-    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
     rows = []
     for prof in profiles:
         best_t0 = balanced_horizon(prof.gen_lq.value, prof.f_lq.value, policy.t_star, t0_grid_size)
@@ -278,7 +295,7 @@ def check_gradient_inequality(
         e_gamma0=integ.value,
         t0=policy.t0,
         rows=rows,
-        profiles=profiles,
+        profiles=list(profiles),
     )
 
 
@@ -309,16 +326,28 @@ def check_hessian_inequality(
     ensemble: StationaryEnsemble,
     r_list: Sequence[float] = (2.0, 3.0, 4.0),
 ) -> InequalityReport:
-    """Second-derivative bound with a fitted constant.
+    """Second-derivative bound with a fitted constant; see `hessian_from_profiles`."""
+    if not p < q:
+        raise ConfigError(f"need p < q, got p={p}, q={q}")
+    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
+    return hessian_from_profiles(model, profiles, p, q, ensemble, r_list)
+
+
+def hessian_from_profiles(
+    model: CoefficientModel,
+    profiles: Sequence[NormProfile],
+    p: float,
+    q: float,
+    ensemble: StationaryEnsemble,
+    r_list: Sequence[float] = (2.0, 3.0, 4.0),
+) -> InequalityReport:
+    """The second-derivative bound on norms already computed.
 
     The constant here is not explicit (it enters through flat-measure
     elliptic regularity), so the check records the largest observed ratio
     and the coefficient Sobolev sizes; stability of the fitted constant
     under ensemble growth is asserted by the test suite.
     """
-    if not p < q:
-        raise ConfigError(f"need p < q, got p={p}, q={q}")
-    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
     ratios = []
     for prof in profiles:
         denom = prof.gen_lq.value + prof.f_lq.value

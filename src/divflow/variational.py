@@ -17,7 +17,7 @@ independent route for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class DriftJacobianPath:
 
     times: Array  # (n+1,)
     matrices: Array  # (n+1, d, d)
-    trajectory: Optional[Trajectory] = None
 
     @property
     def dt(self) -> float:
@@ -55,7 +54,6 @@ class FundamentalMatrix:
 
     times: Array
     matrices: Array  # (n+1, d, d)
-    trajectory: Optional[Trajectory] = None
 
     @property
     def dt(self) -> float:
@@ -86,7 +84,7 @@ class FlowDerivatives:
 def drift_jacobian_path(model: CoefficientModel, traj: Trajectory) -> DriftJacobianPath:
     """Evaluate the drift Jacobian (curvature matrix) along a trajectory."""
     matrices = curvature_matrix(model, traj.states)
-    return DriftJacobianPath(times=traj.times, matrices=matrices, trajectory=traj)
+    return DriftJacobianPath(times=traj.times, matrices=matrices)
 
 
 def _forcing_grid(control: "ControlPath", n_steps: int, sign: float) -> tuple[Array, Array]:
@@ -151,7 +149,7 @@ def fundamental_matrix(jac: DriftJacobianPath, dt: float | None = None) -> Funda
         raise DegeneracyError(
             "propagator determinant lost positivity; step size too large"
         )
-    return FundamentalMatrix(times=jac.times, matrices=grids, trajectory=jac.trajectory)
+    return FundamentalMatrix(times=jac.times, matrices=grids)
 
 
 def propagator(c: FundamentalMatrix, t: float, s: float) -> Array:

@@ -1,11 +1,13 @@
 """Command-line contract: config validation, outputs, exit codes, determinism."""
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 import divflow as dv
+from divflow import cli
 from divflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -240,3 +242,54 @@ def test_seed_override_changes_outputs(tmp_path):
     assert (tmp_path / "a" / "path_00000.csv").read_bytes() != (
         tmp_path / "b" / "path_00000.csv"
     ).read_bytes()
+
+
+# The rows of report.md's verdict table, in order; perfbench/checks.py reads it.
+REPORT_ROWS = [
+    "coefficients",
+    "operator_symmetry",
+    "stationarity",
+    "control_discrepancy",
+    "gronwall",
+    "trace_moment",
+    "ibp_identity",
+    "gradient_inequality",
+    "hessian_inequality",
+    "exp_integrability",
+    "decay",
+    "moment_bound",
+]
+
+
+def test_check_tuple_matches_the_report_rows(tmp_path):
+    assert [check.__name__ for check in cli.CHECKS] == ["_" + name for name in REPORT_ROWS]
+    cfg_path = verify_config(tmp_path, paths=200, ensemble=500)
+    main(["verify", "--config", str(cfg_path)])
+    lines = read(tmp_path / "out" / "report.md").splitlines()
+    rows = []
+    for line in lines[lines.index("| check | verdict | detail |") + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip())
+    assert rows == REPORT_ROWS
+
+
+def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
+    """Context and both inequality checks: one norm profile per battery function."""
+    calls = {"norm_profile": 0, "apply_generator": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divflow"]
+    for name in calls:
+        original = getattr(dv, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    ctx = cli._verify_context(parse_config(verify_config(tmp_path, ensemble=2000)))
+    results = [cli._gradient_inequality(ctx), cli._hessian_inequality(ctx)]
+    assert [res.name for res in results] == ["gradient_inequality", "hessian_inequality"]
+    assert len(ctx.battery) == 12
+    assert calls == {"norm_profile": 12, "apply_generator": 12}

@@ -243,6 +243,17 @@ def test_generator_variant_constant_function(ou1d):
     assert abs(est.estimate[0]) <= 3.0 * est.std_error[0] + 1e-12
 
 
+def test_generator_variant_stops_at_an_inner_guard_exit(dw1d):
+    # At dt = 0.5 the DW1D Euler map x -> 3x - 2x^3 + dw is unstable: the
+    # one-step outer paths stay inside the guard, the inner paths leave it.
+    policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=4.0)
+    with pytest.raises(dv.IntegrationError) as err:
+        dv.grad_generator_variant(
+            dw1d.model, dv.coordinate(0, 1), [0.0], policy, 3.0, 20, 0.5, inner_paths=5, seed=1
+        )
+    assert err.value.step >= 1
+
+
 # ---------------------------------------------------------------------------
 # moment-chain sanity on common samples
 # ---------------------------------------------------------------------------
