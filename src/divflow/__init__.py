@@ -8,12 +8,10 @@ L^p of the invariant law empirically.
 """
 from .control import (
     ControlPath,
-    GronwallReport,
     HorizonPolicy,
     TraceMomentReport,
     build_control,
     e_function,
-    gronwall_check,
     gronwall_sweep,
     trace_moment_check,
 )
@@ -31,11 +29,9 @@ from .estimator import (
     PathSummary,
     flow_summary,
     frechet_from_summary,
-    grad_frechet,
     grad_generator_variant,
     grad_malliavin,
     ibp_from_summary,
-    ibp_identity_check,
     ito_integral,
     malliavin_from_summary,
 )
@@ -52,13 +48,11 @@ from .functions import (
 )
 from .model import (
     CoefficientModel,
-    CurvatureEval,
     TestProblem,
     apply_A,
     apply_generator,
     apply_L,
     consistency_report,
-    curvature,
     curvature_matrix,
     curvature_sup,
     drift_b,
@@ -91,25 +85,17 @@ from .norms import (
     stationarity_check,
 )
 from .sde import (
-    SemigroupEstimate,
     StationaryEnsemble,
     Trajectory,
     WienerGrid,
-    exit_time,
     sample_stationary,
-    semigroup_estimate,
     simulate_path,
 )
 from .variational import (
     DriftJacobianPath,
-    FlowDerivatives,
     FundamentalMatrix,
     ThetaResult,
-    cocycle_compose,
     drift_jacobian_path,
-    dump_flow_grids,
-    flow_derivatives,
-    frechet_flow,
     fundamental_matrix,
     malliavin_flow,
     propagator,

@@ -39,6 +39,7 @@ from .estimator import IbpReport, flow_summary, ibp_from_summary
 from .functions import TestFunction, battery_for, by_name, coordinate, shifted
 from .model import TestProblem, consistency_report, make_problem
 from .norms import (
+    ExpIntegrability,
     MomentTestConfig,
     NormProfile,
     balanced_horizon,
@@ -435,6 +436,7 @@ class VerifyContext:
     ensemble: StationaryEnsemble
     profiles: list[NormProfile]  # norms of each battery function, aligned with battery
     policy: HorizonPolicy
+    integrability: ExpIntegrability  # E(gamma0) on the ensemble
     negate_control: bool
 
     @property
@@ -447,7 +449,8 @@ def _verify_context(config: ExperimentConfig, negate_control: bool = False) -> V
     battery = battery_for(problem)
     ensemble, profiles = _battery_profiles(config, problem, battery)
     policy = config.policy_for(problem, t0=resolve_t0(config, problem, profiles))
-    return VerifyContext(config, problem, battery, ensemble, profiles, policy, negate_control)
+    integ = exp_integrability(problem.model, ensemble, policy.gamma0)
+    return VerifyContext(config, problem, battery, ensemble, profiles, policy, integ, negate_control)
 
 
 # Where the ibp_identity check evaluates both gradient routes.
@@ -589,7 +592,7 @@ def _ibp_identity(ctx: VerifyContext) -> CheckResult:
 def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
     """First-derivative bound with the theoretical constant."""
     c = ctx.config
-    rep = gradient_from_profiles(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.ensemble)
+    rep = gradient_from_profiles(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.integrability)
     return CheckResult(
         "gradient_inequality",
         rep.passed,
@@ -611,7 +614,7 @@ def _hessian_inequality(ctx: VerifyContext) -> CheckResult:
 
 def _exp_integrability(ctx: VerifyContext) -> CheckResult:
     """E(gamma0) is finite and not carried by a heavy tail."""
-    integ = exp_integrability(ctx.model, ctx.ensemble, ctx.policy.gamma0)
+    integ = ctx.integrability
     return CheckResult(
         "exp_integrability",
         math.isfinite(integ.value) and not integ.heavy_tail,

@@ -28,7 +28,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, PolicyError
 from .model import CoefficientModel, curvature_sup, numerical_range_sup
-from .sde import StationaryEnsemble, Trajectory
+from .sde import StationaryEnsemble
 from .variational import FundamentalMatrix
 
 Array = np.ndarray
@@ -117,37 +117,6 @@ def constant_control(matrix: Array, t0: float, n_steps: int, dt: float) -> Contr
         t0=t0,
         horizon_index=min(n0, n_steps),
         boundary=matrix.copy(),
-    )
-
-
-@dataclass(frozen=True)
-class GronwallReport:
-    """Pathwise comparison of |g_i(t)|^2 against the exponential bound."""
-
-    max_slack: float  # max over columns/times of |g_i|^2 - bound (<= 0 in theory)
-    max_equality_gap: float  # max |difference|; small when the bound saturates
-    t0: float
-
-
-def gronwall_check(
-    control: ControlPath, traj: Trajectory, model: CoefficientModel
-) -> GronwallReport:
-    """Verify the exponential column bound along one trajectory."""
-    n0 = control.horizon_index
-    states = traj.states[: n0 + 1]
-    if states.shape[0] != n0 + 1:
-        raise ConfigError("trajectory does not cover the control horizon")
-    u = curvature_sup(model, states)
-    integral = engine.trapezoid_prefix(u, control.dt, axis=0)
-    bound = np.exp(2.0 * integral)[:, None] / control.t0**2
-    g = control.values[: n0 + 1].copy()
-    g[n0] = control.boundary
-    col_sq = np.sum(g**2, axis=1)  # (n0+1, d): squared column norms
-    slack = col_sq - bound
-    return GronwallReport(
-        max_slack=float(np.max(slack)),
-        max_equality_gap=float(np.max(np.abs(slack))),
-        t0=control.t0,
     )
 
 

@@ -188,21 +188,6 @@ def malliavin_from_summary(f: TestFunction, summary: PathSummary) -> GradientEst
     )
 
 
-def grad_frechet(
-    model: CoefficientModel,
-    f: TestFunction,
-    x,
-    t: float,
-    n_paths: int,
-    dt: float,
-    seed: int = 0,
-    threads: int = 1,
-) -> GradientEstimate:
-    """Estimate grad P_t f(x) through the pathwise derivative of the flow."""
-    summary = flow_summary(model, x, t, dt, n_paths, seed=seed, threads=threads)
-    return frechet_from_summary(f, summary)
-
-
 def grad_malliavin(
     model: CoefficientModel,
     f: TestFunction,
@@ -255,32 +240,6 @@ def ibp_from_summary(f: TestFunction, summary: PathSummary) -> IbpReport:
     return IbpReport(frechet=fre, malliavin=mal, residual=res_mean, residual_se=res_se)
 
 
-def ibp_identity_check(
-    model: CoefficientModel,
-    f: TestFunction,
-    x,
-    policy: HorizonPolicy,
-    n_paths: int,
-    dt: float,
-    seed: int = 0,
-    negate_control: bool = False,
-    threads: int = 1,
-) -> IbpReport:
-    """Run both routes on common random numbers and report the residual."""
-    summary = flow_summary(
-        model,
-        x,
-        policy.t0,
-        dt,
-        n_paths,
-        seed=seed,
-        t0=policy.t0,
-        negate_control=negate_control,
-        threads=threads,
-    )
-    return ibp_from_summary(f, summary)
-
-
 def grad_generator_variant(
     model: CoefficientModel,
     f: TestFunction,
@@ -306,6 +265,8 @@ def grad_generator_variant(
         model, x, policy.t0, dt, n_paths, seed=seed, t0=policy.t0, threads=threads
     )
     alive = summary.alive
+    if not alive.any():
+        raise EvaluationError("all paths hit the radius guard")
     n_inner_steps = engine.steps_for(t - policy.t0, dt) if t > policy.t0 + 1.0e-12 else 0
     d = model.dim
     m = inner_paths

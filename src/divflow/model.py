@@ -64,14 +64,6 @@ class CoefficientModel:
 
 
 @dataclass(frozen=True)
-class CurvatureEval:
-    """Curvature matrix at a point and the supremum of its numerical range."""
-
-    matrix: Array
-    sup: float
-
-
-@dataclass(frozen=True)
 class TestProblem:
     """A concrete coefficient model plus analytic reference data.
 
@@ -151,12 +143,6 @@ def numerical_range_sup(matrix: Array) -> Array:
     """Largest eigenvalue of the symmetric part; max of <K l, l> over |l| = 1."""
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     return np.linalg.eigvalsh(sym)[..., -1]
-
-
-def curvature(model: CoefficientModel, x: Array) -> CurvatureEval:
-    """Curvature matrix and its numerical-range supremum at a single point."""
-    k = curvature_matrix(model, x)
-    return CurvatureEval(matrix=k, sup=float(numerical_range_sup(k)))
 
 
 def curvature_sup(model: CoefficientModel, x: Array) -> Array:

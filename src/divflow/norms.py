@@ -256,11 +256,12 @@ def check_gradient_inequality(
 ) -> InequalityReport:
     """Test the first-derivative bound for every battery function.
 
-    Computes each function's `norm_profile` and hands them to
+    Computes each function's `norm_profile` and E(gamma0) and hands them to
     `gradient_from_profiles`.
     """
     profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
-    return gradient_from_profiles(model, profiles, p, q, policy, ensemble, t0_grid_size)
+    integ = exp_integrability(model, ensemble, policy.gamma0)
+    return gradient_from_profiles(model, profiles, p, q, policy, integ, t0_grid_size)
 
 
 def gradient_from_profiles(
@@ -269,17 +270,16 @@ def gradient_from_profiles(
     p: float,
     q: float,
     policy: HorizonPolicy,
-    ensemble: StationaryEnsemble,
+    integ: ExpIntegrability,
     t0_grid_size: int = 8,
 ) -> InequalityReport:
-    """The first-derivative bound on norms already computed.
+    """The first-derivative bound on norms and an E(gamma0) already computed.
 
     Also scans the horizon-balanced right side
     C (sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0)) over a log grid in
     (0, t_star] and reports the minimising horizon per function.
     """
     r = r_exponent(p, q)
-    integ = exp_integrability(model, ensemble, policy.gamma0)
     constant = constant_c(model.dim, r, integ.value)
     rows = []
     for prof in profiles:

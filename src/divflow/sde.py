@@ -1,4 +1,4 @@
-"""Path simulation, stationary sampling and Monte-Carlo semigroup evaluation.
+"""Path simulation and stationary sampling.
 
 The diffusion dX = (-grad U + b)/2 dt + dw is integrated with the explicit
 Euler scheme (the noise is additive, so the first-order Milstein correction
@@ -19,7 +19,6 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, EvaluationError
 from .model import CoefficientModel, TestProblem
-from .functions import TestFunction
 
 Array = np.ndarray
 
@@ -159,16 +158,6 @@ def simulate_path(
     )
 
 
-def exit_time(traj: Trajectory, radius: float) -> Optional[float]:
-    """First grid time at which |X| >= radius, or None if never reached."""
-    if radius <= 0:
-        raise ConfigError(f"radius must be positive, got {radius}")
-    hits = np.nonzero(np.linalg.norm(traj.states, axis=-1) >= radius)[0]
-    if hits.size == 0:
-        return None
-    return float(traj.times[hits[0]])
-
-
 def _mala_chain_sample(
     model: CoefficientModel,
     count: int,
@@ -270,64 +259,4 @@ def sample_stationary(
     }
     return StationaryEnsemble(
         points=points, provenance="burn-in", diagnostics=diagnostics, n_chains=m
-    )
-
-
-@dataclass(frozen=True)
-class SemigroupEstimate:
-    """Monte-Carlo value of E f(X(t; x)) with its standard error."""
-
-    value: float
-    std_error: float
-    n_paths: int
-    exited_fraction: float
-
-
-def semigroup_estimate(
-    model: CoefficientModel,
-    f: TestFunction,
-    x,
-    t: float,
-    n_paths: int,
-    dt: float,
-    seed: int = 0,
-    r_guard: float = DEFAULT_R_GUARD,
-    threads: int = 1,
-) -> SemigroupEstimate:
-    """Estimate the semigroup value E f(X(t; x)) over n_paths paths.
-
-    Guard-stopped paths are excluded from the average and reported in the
-    exited fraction.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be positive, got {n_paths}")
-    n = engine.steps_for(t, dt) if t > 0 else 0
-    if n == 0:
-        val = float(f.value(x))
-        return SemigroupEstimate(value=val, std_error=0.0, n_paths=n_paths, exited_fraction=0.0)
-
-    def worker(spec):
-        off, size = spec
-        inc = engine.increments_block(seed, off, size, n, dt, model.dim)
-        x0 = np.broadcast_to(x, (size, model.dim))
-        end, exit_step = engine.euler_sweep(model, x0, dt, inc, r_guard=r_guard, store=False)
-        ok = exit_step < 0
-        vals = f.value(end[ok])
-        return float(np.sum(vals)), float(np.sum(vals**2)), int(np.count_nonzero(ok))
-
-    parts = engine.map_batches(worker, engine.batch_sizes(n_paths, n, model.dim), threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    kept = sum(p[2] for p in parts)
-    if kept == 0:
-        raise EvaluationError("all paths hit the radius guard", point=x)
-    mean = total / kept
-    var = max(0.0, total_sq / kept - mean * mean)
-    se = math.sqrt(var / kept)
-    return SemigroupEstimate(
-        value=mean,
-        std_error=se,
-        n_paths=n_paths,
-        exited_fraction=1.0 - kept / n_paths,
     )

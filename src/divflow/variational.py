@@ -71,16 +71,6 @@ class FundamentalMatrix:
         return k
 
 
-@dataclass(frozen=True)
-class FlowDerivatives:
-    """Pathwise derivative, noise derivative and their discrepancy grids."""
-
-    times: Array
-    frechet: Array  # (n+1, d, d)
-    malliavin: Array  # (n+1, d, d)
-    discrepancy: Array  # (n+1, d, d)
-
-
 def drift_jacobian_path(model: CoefficientModel, traj: Trajectory) -> DriftJacobianPath:
     """Evaluate the drift Jacobian (curvature matrix) along a trajectory."""
     matrices = curvature_matrix(model, traj.states)
@@ -162,16 +152,6 @@ def propagator(c: FundamentalMatrix, t: float, s: float) -> Array:
     return c.matrices[kt] @ np.linalg.inv(cs)
 
 
-def cocycle_compose(c: FundamentalMatrix, u: float, t: float, s: float) -> Array:
-    """Composition C(u, t) C(t, s); equals C(u, s) up to round-off."""
-    return propagator(c, u, t) @ propagator(c, t, s)
-
-
-def frechet_flow(jac: DriftJacobianPath, dt: float | None = None) -> Array:
-    """Pathwise derivative grid; same system and initial data as the propagator."""
-    return fundamental_matrix(jac, dt).matrices
-
-
 def malliavin_flow(jac: DriftJacobianPath, control: "ControlPath", dt: float | None = None) -> Array:
     """Noise-direction derivative grid: dZ = A Z + g, Z(0) = 0."""
     dt = jac.dt if dt is None else dt
@@ -217,29 +197,6 @@ def theta_flow(jac: DriftJacobianPath, control: "ControlPath", dt: float | None 
     full[n0 + 1 :] = prefix[n0]
     duhamel = c @ (eye - full)
     return ThetaResult(times=jac.times, ode=ode, duhamel=duhamel)
-
-
-def flow_derivatives(
-    jac: DriftJacobianPath, control: "ControlPath", dt: float | None = None
-) -> FlowDerivatives:
-    """All three grids at once; the identity C = Z + T holds entrywise."""
-    xi = frechet_flow(jac, dt)
-    zeta = malliavin_flow(jac, control, dt)
-    theta = theta_flow(jac, control, dt).ode
-    return FlowDerivatives(times=jac.times, frechet=xi, malliavin=zeta, discrepancy=theta)
-
-
-def dump_flow_grids(path, flows: FlowDerivatives) -> None:
-    """Debug CSV of the three derivative grids: t, then entries row-major."""
-    d = flows.frechet.shape[-1]
-    labels = [f"{name}_{i}{j}" for name in ("frechet", "malliavin", "discrepancy") for i in range(d) for j in range(d)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(["t"] + labels) + "\n")
-        for k in range(flows.times.shape[0]):
-            row = [f"{flows.times[k]:.12g}"]
-            for grid in (flows.frechet, flows.malliavin, flows.discrepancy):
-                row.extend(f"{v:.12g}" for v in grid[k].reshape(-1))
-            fh.write(",".join(row) + "\n")
 
 
 def _check_alignment(jac: DriftJacobianPath, control: "ControlPath", dt: float) -> None:

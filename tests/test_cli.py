@@ -275,8 +275,8 @@ def test_check_tuple_matches_the_report_rows(tmp_path):
 
 
 def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
-    """Context and both inequality checks: one norm profile per battery function."""
-    calls = {"norm_profile": 0, "apply_generator": 0}
+    """Context and the checks that read norms: one norm profile per battery function, one E(gamma0)."""
+    calls = {"norm_profile": 0, "apply_generator": 0, "exp_integrability": 0}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divflow"]
     for name in calls:
         original = getattr(dv, name)
@@ -289,7 +289,7 @@ def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     ctx = cli._verify_context(parse_config(verify_config(tmp_path, ensemble=2000)))
-    results = [cli._gradient_inequality(ctx), cli._hessian_inequality(ctx)]
-    assert [res.name for res in results] == ["gradient_inequality", "hessian_inequality"]
+    results = [cli._gradient_inequality(ctx), cli._hessian_inequality(ctx), cli._exp_integrability(ctx)]
+    assert [res.name for res in results] == ["gradient_inequality", "hessian_inequality", "exp_integrability"]
     assert len(ctx.battery) == 12
-    assert calls == {"norm_profile": 12, "apply_generator": 12}
+    assert calls == {"norm_profile": 12, "apply_generator": 12, "exp_integrability": 1}

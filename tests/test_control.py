@@ -91,19 +91,17 @@ def test_control_drives_discrepancy_to_zero(ou1d):
 
 
 def test_gronwall_saturates_on_ou(ou1d):
-    traj, jac, c = chain(ou1d.model, [0.3], 1.0, 1e-3, seed=5)
-    control = dv.build_control(c, dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0))
-    report = dv.gronwall_check(control, traj, ou1d.model)
-    assert report.max_equality_gap < 1e-6
-    assert report.max_slack <= 1e-6
+    policy = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0)
+    slack, gap = dv.gronwall_sweep(ou1d.model, [[0.3]], policy, dt=1e-3, seed=5)
+    assert gap < 1e-6
+    assert slack <= 1e-6
 
 
 def test_gronwall_tight_on_rot2d(rot2d):
-    traj, jac, c = chain(rot2d.model, [0.1, 0.4], 0.5, 1e-3, seed=6)
-    control = dv.build_control(c, dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0))
-    report = dv.gronwall_check(control, traj, rot2d.model)
+    policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0)
+    _, gap = dv.gronwall_sweep(rot2d.model, [[0.1, 0.4]], policy, dt=1e-3, seed=6)
     # norm-preserving antisymmetric part: the bound is attained
-    assert report.max_equality_gap < 1e-6
+    assert gap < 1e-6
 
 
 @pytest.mark.parametrize("tag,t0,gamma0", [("DW1D", 0.25, 1.0), ("VARH2D", 0.25, 1.0)])

@@ -74,19 +74,22 @@ def test_ito_integral_grid_mismatch():
 
 
 def test_grad_frechet_constant_function_exact_zero(ou1d):
-    est = dv.grad_frechet(ou1d.model, dv.constant(4.0, 1), [0.5], 0.5, 500, 1e-3, seed=14)
+    summary = dv.flow_summary(ou1d.model, [0.5], 0.5, 1e-3, 500, seed=14)
+    est = dv.frechet_from_summary(dv.constant(4.0, 1), summary)
     assert_allclose(est.estimate, 0.0)
     assert_allclose(est.std_error, 0.0)
 
 
 def test_grad_frechet_ou_linear(ou1d):
-    est = dv.grad_frechet(ou1d.model, dv.coordinate(0, 1), [1.0], 1.0, 20_000, 1e-3, seed=15)
+    summary = dv.flow_summary(ou1d.model, [1.0], 1.0, 1e-3, 20_000, seed=15)
+    est = dv.frechet_from_summary(dv.coordinate(0, 1), summary)
     # deterministic pathwise derivative: the estimate is exact up to solver error
     assert est.estimate[0] == pytest.approx(math.exp(-0.5), abs=1e-5)
 
 
 def test_grad_frechet_ou_quadratic(ou1d):
-    est = dv.grad_frechet(ou1d.model, dv.square(1), [1.0], 1.0, 50_000, 1e-3, seed=16)
+    summary = dv.flow_summary(ou1d.model, [1.0], 1.0, 1e-3, 50_000, seed=16)
+    est = dv.frechet_from_summary(dv.square(1), summary)
     assert abs(est.estimate[0] - 2.0 * math.exp(-1.0)) <= 3.0 * est.std_error[0] + 2e-3
 
 
@@ -124,7 +127,8 @@ def test_variance_scaling_with_sample_size(ou1d):
 
 
 def test_ibp_identity_ou(ou1d):
-    rep = dv.ibp_identity_check(ou1d.model, dv.bump([0.3], 1.0), [0.3], OU_POLICY, 100_000, 1e-3, seed=21)
+    summary = dv.flow_summary(ou1d.model, [0.3], OU_POLICY.t0, 1e-3, 100_000, seed=21, t0=OU_POLICY.t0)
+    rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), summary)
     assert rep.passed
     assert rep.frechet.route == "frechet"
     assert rep.malliavin.route == "malliavin"
@@ -132,37 +136,36 @@ def test_ibp_identity_ou(ou1d):
 
 def test_ibp_identity_rot2d(rot2d):
     policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0)
-    rep = dv.ibp_identity_check(
-        rot2d.model, dv.bump([0.0, 0.0], 1.0), [0.2, -0.1], policy, 50_000, 1e-3, seed=22
-    )
+    summary = dv.flow_summary(rot2d.model, [0.2, -0.1], policy.t0, 1e-3, 50_000, seed=22, t0=policy.t0)
+    rep = dv.ibp_from_summary(dv.bump([0.0, 0.0], 1.0), summary)
     assert rep.passed
 
 
 def test_ibp_identity_dw1d(dw1d):
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
-    rep = dv.ibp_identity_check(dw1d.model, dv.bump([0.0], 1.0), [0.0], policy, 100_000, 1e-3, seed=23)
+    summary = dv.flow_summary(dw1d.model, [0.0], policy.t0, 1e-3, 100_000, seed=23, t0=policy.t0)
+    rep = dv.ibp_from_summary(dv.bump([0.0], 1.0), summary)
     assert rep.passed
 
 
 def test_ibp_identity_fails_with_negated_control(ou1d):
-    rep = dv.ibp_identity_check(
+    summary = dv.flow_summary(
         ou1d.model,
-        dv.bump([0.3], 1.0),
         [0.3],
-        OU_POLICY,
-        50_000,
+        OU_POLICY.t0,
         1e-3,
+        50_000,
         seed=24,
+        t0=OU_POLICY.t0,
         negate_control=True,
     )
+    rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), summary)
     assert not rep.passed
 
 
 def test_estimators_reject_empty_path_count(ou1d):
     with pytest.raises(dv.ConfigError):
-        dv.grad_frechet(ou1d.model, dv.coordinate(0, 1), [0.0], 1.0, 0, 1e-3)
-    with pytest.raises(dv.ConfigError):
-        dv.semigroup_estimate(ou1d.model, dv.coordinate(0, 1), [0.0], 1.0, 0, 1e-3)
+        dv.flow_summary(ou1d.model, [0.0], 1.0, 1e-3, 0)
 
 
 def test_threaded_batches_match_serial(ou1d):
@@ -252,6 +255,15 @@ def test_generator_variant_stops_at_an_inner_guard_exit(dw1d):
             dw1d.model, dv.coordinate(0, 1), [0.0], policy, 3.0, 20, 0.5, inner_paths=5, seed=1
         )
     assert err.value.step >= 1
+
+
+def test_generator_variant_raises_when_every_path_exits(dw1d):
+    # From x = 3 the dt = 0.5 Euler map leaves the guard on every path before t0.
+    policy = dv.HorizonPolicy(t0=1.5, gamma0=8.0, r=4.0)
+    with pytest.raises(dv.EvaluationError, match="all paths hit the radius guard"):
+        dv.grad_generator_variant(
+            dw1d.model, dv.coordinate(0, 1), [3.0], policy, 1.5, 20, 0.5, inner_paths=5, seed=1
+        )
 
 
 # ---------------------------------------------------------------------------

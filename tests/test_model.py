@@ -102,22 +102,20 @@ def test_drift_matches_divergence_form_fd(tag, all_problems):
 
 def test_curvature_ou_constant(ou1d):
     for x in ([0.0], [1.3], [-2.0]):
-        ev = dv.curvature(ou1d.model, x)
-        assert_allclose(ev.matrix, [[-0.5]], atol=1e-14)
-        assert ev.sup == pytest.approx(-0.5, abs=1e-14)
+        assert_allclose(dv.curvature_matrix(ou1d.model, x), [[-0.5]], atol=1e-14)
+        assert dv.curvature_sup(ou1d.model, x) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_curvature_rot2d_sup_independent_of_h():
     for h in (0.0, 1.0, 10.0):
         problem = dv.make_rot2d(h)
-        ev = dv.curvature(problem.model, [0.4, -1.1])
-        assert ev.sup == -0.5
+        assert dv.curvature_sup(problem.model, [0.4, -1.1]) == -0.5
 
 
 def test_curvature_dw1d(dw1d):
-    assert dv.curvature(dw1d.model, [0.0]).sup == pytest.approx(2.0, abs=1e-14)
+    assert dv.curvature_sup(dw1d.model, [0.0]) == pytest.approx(2.0, abs=1e-14)
     for x in (-1.5, -0.2, 0.9):
-        assert dv.curvature(dw1d.model, [x]).sup == pytest.approx(2.0 - 6.0 * x * x, abs=1e-12)
+        assert dv.curvature_sup(dw1d.model, [x]) == pytest.approx(2.0 - 6.0 * x * x, abs=1e-12)
 
 
 @pytest.mark.parametrize("tag", ["ROT2D", "VARH2D"])
@@ -125,11 +123,11 @@ def test_curvature_sup_dominates_sampled_directions(tag, all_problems):
     problem = next(p for p in all_problems if p.tag == tag)
     rng = np.random.default_rng(5)
     for pt in random_points(problem.dim, 5, seed=11):
-        ev = dv.curvature(problem.model, pt)
+        k = dv.curvature_matrix(problem.model, pt)
         dirs = rng.standard_normal((1000, problem.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        sampled = np.einsum("ni,ij,nj->n", dirs, ev.matrix, dirs).max()
-        assert sampled <= ev.sup + 1e-6
+        sampled = np.einsum("ni,ij,nj->n", dirs, k, dirs).max()
+        assert sampled <= dv.curvature_sup(problem.model, pt) + 1e-6
 
 
 def test_fd_jacobian_fallback_matches_analytic(varh2d):

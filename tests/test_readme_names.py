@@ -1,0 +1,42 @@
+"""Every divflow name and subcommand that README.md shows still exists.
+
+The README examples are not run by the suite, so a deleted or renamed
+public name would leave them broken without failing any test.  This reads
+the examples as text and runs no Monte Carlo.
+"""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+import divflow as dv
+from divflow.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+
+
+def test_readme_library_names_resolve():
+    names = {
+        name
+        for lang, body in BLOCKS
+        if lang == "python"
+        for name in re.findall(r"\bdv\.(\w+)", body)
+    }
+    assert names
+    assert sorted(name for name in names if not hasattr(dv, name)) == []
+
+
+def test_readme_subcommands_exist(capsys):
+    shown = {
+        command
+        for _, body in BLOCKS
+        for command in re.findall(r"^divflow (\S+)", body, re.M)
+    }
+    assert shown
+    for command in sorted(shown):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0, f"README shows unknown subcommand {command!r}"

@@ -85,14 +85,8 @@ def test_grid_mismatch_rejected(ou1d):
 
 
 # ---------------------------------------------------------------------------
-# exit_time
+# exit time
 # ---------------------------------------------------------------------------
-
-
-def test_exit_time_never_for_constant_path(ou1d):
-    noise = dv.WienerGrid.zeros(100, 1e-3, 1)
-    traj = dv.simulate_path(ou1d.model, [0.0], 0.1, 1e-3, noise)
-    assert dv.exit_time(traj, 1.0) is None
 
 
 def test_exit_time_deterministic_decay(ou1d):
@@ -105,12 +99,6 @@ def test_exit_time_deterministic_decay(ou1d):
     below = np.nonzero(np.abs(traj.states[:, 0]) < 1.5)[0]
     t_cross = traj.times[below[0] - 1]
     assert t_cross == pytest.approx(expected, abs=2 * dt)
-
-
-def test_exit_time_immediate_when_start_outside(ou1d):
-    noise = dv.WienerGrid.zeros(10, 1e-3, 1)
-    traj = dv.simulate_path(ou1d.model, [3.0], 0.01, 1e-3, noise)
-    assert dv.exit_time(traj, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +147,6 @@ def test_nonfinite_state_raises_with_step_index(dw1d):
     with pytest.raises(dv.IntegrationError) as err:
         dv.simulate_path(dw1d.model, [1.1], 500.0, 10.0, noise, r_guard=np.inf)
     assert err.value.step > 0
-
-
-# ---------------------------------------------------------------------------
-# semigroup_estimate
-# ---------------------------------------------------------------------------
-
-
-def test_semigroup_constant_function(ou1d):
-    est = dv.semigroup_estimate(ou1d.model, dv.constant(3.0, 1), [0.2], 0.5, 2000, 1e-3, seed=5)
-    assert est.value == pytest.approx(3.0)
-    assert est.std_error == 0.0
-    assert est.exited_fraction == 0.0
-
-
-def test_semigroup_ou_mean(ou1d):
-    est = dv.semigroup_estimate(
-        ou1d.model, dv.coordinate(0, 1), [1.0], 1.0, 30_000, 2e-3, seed=6
-    )
-    assert abs(est.value - math.exp(-0.5)) <= 3.0 * est.std_error
-
-
-def test_semigroup_ou_second_moment(ou1d):
-    est = dv.semigroup_estimate(ou1d.model, dv.square(1), [0.0], 1.0, 30_000, 2e-3, seed=7)
-    assert abs(est.value - (1.0 - math.exp(-1.0))) <= 3.0 * est.std_error
 
 
 # ---------------------------------------------------------------------------

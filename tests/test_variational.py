@@ -109,7 +109,7 @@ def test_singular_propagator_rejected(ou1d):
     with pytest.raises(dv.DegeneracyError):
         dv.propagator(broken, 0.2, 0.15)
     with pytest.raises(dv.DegeneracyError):
-        dv.cocycle_compose(broken, 0.2, 0.15, 0.0)
+        dv.propagator(broken, 0.2, 0.15) @ dv.propagator(broken, 0.15, 0.0)
 
 
 def test_nonfinite_jacobian_raises_integration_error(ou1d):
@@ -128,13 +128,13 @@ def test_nonfinite_jacobian_raises_integration_error(ou1d):
 
 def test_cocycle_trivial_triple(ou1d):
     _, _, c = make_chain(ou1d, [0.4], 1.0, 1e-3, seed=10)
-    assert_allclose(dv.cocycle_compose(c, 0.5, 0.5, 0.5), np.eye(1), atol=1e-12)
+    assert_allclose(dv.propagator(c, 0.5, 0.5) @ dv.propagator(c, 0.5, 0.5), np.eye(1), atol=1e-12)
 
 
 def test_cocycle_ou_value_independent_of_midpoint(ou1d):
     _, _, c = make_chain(ou1d, [0.4], 1.0, 1e-3, seed=11)
     for mid in (0.25, 0.5, 0.75):
-        got = dv.cocycle_compose(c, 1.0, mid, 0.0)[0, 0]
+        got = (dv.propagator(c, 1.0, mid) @ dv.propagator(c, mid, 0.0))[0, 0]
         assert got == pytest.approx(math.exp(-0.5), abs=1e-6)
 
 
@@ -154,20 +154,13 @@ def test_cocycle_identity_on_subgrid(tag, tol, all_problems):
         for t in times:
             for s in times:
                 assert_allclose(
-                    dv.cocycle_compose(c, u, t, s), dv.propagator(c, u, s), atol=tol
+                    dv.propagator(c, u, t) @ dv.propagator(c, t, s), dv.propagator(c, u, s), atol=tol
                 )
 
 
 # ---------------------------------------------------------------------------
 # flow derivatives
 # ---------------------------------------------------------------------------
-
-
-def test_frechet_equals_propagator(ou1d):
-    _, jac, c = make_chain(ou1d, [0.6], 1.0, 1e-3, seed=14)
-    xi = dv.frechet_flow(jac)
-    assert_allclose(xi, c.matrices, atol=0)
-    assert xi[-1, 0, 0] == pytest.approx(math.exp(-0.5), abs=1e-6)
 
 
 @pytest.mark.parametrize("tag", ["OU1D", "ROT2D", "VARH2D", "DW1D"])
@@ -180,7 +173,7 @@ def test_frechet_matches_bumped_flow(tag, all_problems):
     n = int(round(horizon / dt))
     noise = dv.WienerGrid.generate(15, 0, n, dt, model.dim)
     traj = dv.simulate_path(model, x0, horizon, dt, noise)
-    xi = dv.frechet_flow(dv.drift_jacobian_path(model, traj))
+    xi = dv.fundamental_matrix(dv.drift_jacobian_path(model, traj)).matrices
     for j in range(model.dim):
         e = np.zeros(model.dim)
         e[j] = eps
@@ -219,8 +212,9 @@ def test_linearity_identity_exact(tag, all_problems):
     _, jac, c = make_chain(problem, x0, 0.5, 1e-3, seed=18)
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
     control = dv.build_control(c, policy)
-    flows = dv.flow_derivatives(jac, control)
-    assert np.max(np.abs(flows.frechet - flows.malliavin - flows.discrepancy)) < 1e-12
+    zeta = dv.malliavin_flow(jac, control)
+    theta = dv.theta_flow(jac, control).ode
+    assert np.max(np.abs(c.matrices - zeta - theta)) < 1e-12
 
 
 def test_theta_without_control_equals_propagator(ou1d):
@@ -266,18 +260,6 @@ def test_duhamel_route_agreement_variable_coefficients(tag, tol, all_problems):
     control = dv.build_control(c, policy)
     theta = dv.theta_flow(jac, control)
     assert theta.route_mismatch < tol
-
-
-def test_dump_flow_grids_roundtrip(tmp_path, ou1d):
-    _, jac, c = make_chain(ou1d, [0.2], 0.5, 1e-3, seed=24)
-    control = dv.build_control(c, dv.HorizonPolicy(t0=0.25, gamma0=8.0, r=2.0))
-    flows = dv.flow_derivatives(jac, control)
-    out = tmp_path / "flows.csv"
-    dv.dump_flow_grids(out, flows)
-    data = np.genfromtxt(out, delimiter=",", names=True)
-    assert data.shape[0] == flows.times.shape[0]
-    assert_allclose(data["frechet_00"], flows.frechet[:, 0, 0], atol=1e-10)
-    assert_allclose(data["discrepancy_00"], flows.discrepancy[:, 0, 0], atol=1e-10)
 
 
 def test_control_grid_mismatch_rejected(ou1d):
