@@ -521,10 +521,11 @@ def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
             model, ctx.ensemble.points[k], 2.0 * policy.t0, dt_flow, noise, r_guard=config.r_guard
         )
         jac = drift_jacobian_path(model, traj)
-        control = build_control(fundamental_matrix(jac), policy)
+        c = fundamental_matrix(jac)
+        control = build_control(c, policy)
         if ctx.negate_control:
             control = replace(control, values=-control.values, boundary=-control.boundary)
-        theta = theta_flow(jac, control)
+        theta = theta_flow(jac, c, control)
         theta_max = max(theta_max, float(np.max(np.abs(theta.ode[control.horizon_index :]))))
         mismatch_max = max(mismatch_max, theta.route_mismatch)
     return CheckResult(

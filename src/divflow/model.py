@@ -42,7 +42,10 @@ class CoefficientModel:
     """Potential, antisymmetric field and the derivatives the engine needs.
 
     grad_antisym returns the tensor of first derivatives of H with axis
-    order (..., k, i, j) = (derivative index, row, column).  jac_drift, when
+    order (..., k, i, j) = (derivative index, row, column).  antisym None
+    declares H = 0: the drift is then -grad U / 2 and neither field is
+    evaluated on a sweep, while consistency_report still tests grad_antisym
+    against finite differences of the zero H.  jac_drift, when
     present, returns the Jacobian of b with entries [..., j, j'] = d b_j / d x_j';
     otherwise it is approximated by central differences of the drift with
     step FD_DRIFT_STEP * (1 + |x|).
@@ -52,7 +55,7 @@ class CoefficientModel:
     potential: Callable[[Array], Array]
     grad_potential: Callable[[Array], Array]
     hess_potential: Callable[[Array], Array]
-    antisym: Callable[[Array], Array]
+    antisym: Optional[Callable[[Array], Array]]
     grad_antisym: Callable[[Array], Array]
     jac_drift: Optional[Callable[[Array], Array]] = None
     normalizer: Optional[float] = None
@@ -95,6 +98,8 @@ def _finite_or_raise(value: Array, what: str, x: Array) -> Array:
 def drift_b(model: CoefficientModel, x: Array) -> Array:
     """Antisymmetric-part drift b_j = sum_i (d_i H_ij - d_i U H_ij)."""
     x = np.asarray(x, dtype=float)
+    if model.antisym is None:
+        return np.zeros(x.shape)
     grad_h = model.grad_antisym(x)
     grad_u = model.grad_potential(x)
     h = model.antisym(x)
@@ -123,6 +128,14 @@ def _fd_jac_drift(model: CoefficientModel, x: Array) -> Array:
             2.0 * step[..., None]
         )
     return out
+
+
+def antisym_field(model: CoefficientModel, x: Array) -> Array:
+    """H at x, shape (..., d, d); zeros when the model declares H = 0."""
+    x = np.asarray(x, dtype=float)
+    if model.antisym is None:
+        return np.zeros(x.shape[:-1] + (model.dim, model.dim))
+    return model.antisym(x)
 
 
 def jac_drift(model: CoefficientModel, x: Array) -> Array:
@@ -181,7 +194,7 @@ def consistency_report(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = model.dim
-    h = model.antisym(points)
+    h = antisym_field(model, points)
     antisym_dev = float(np.max(np.abs(h + np.swapaxes(h, -1, -2))))
     hess = model.hess_potential(points)
     hess_dev = float(np.max(np.abs(hess - np.swapaxes(hess, -1, -2))))
@@ -189,7 +202,7 @@ def consistency_report(
     for k in range(d):
         shift = np.zeros(d)
         shift[k] = fd_step
-        fd = (model.antisym(points + shift) - model.antisym(points - shift)) / (
+        fd = (antisym_field(model, points + shift) - antisym_field(model, points - shift)) / (
             2.0 * fd_step
         )
         fd_dev = max(fd_dev, float(np.max(np.abs(fd - model.grad_antisym(points)[..., k, :, :]))))
@@ -235,7 +248,7 @@ def make_ou1d() -> TestProblem:
         potential=lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
         grad_potential=lambda x: np.asarray(x, dtype=float),
         hess_potential=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)),
-        antisym=_zeros_matrix(1),
+        antisym=None,
         grad_antisym=_zeros_tensor(1),
         jac_drift=_zeros_matrix(1),
         normalizer=math.sqrt(2.0 * math.pi),
@@ -259,13 +272,6 @@ def make_rot2d(h: float = 1.0) -> TestProblem:
         out[..., 1, 0] = -h
         return out
 
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = h
-        out[..., 1, 0] = -h
-        return out
-
     model = CoefficientModel(
         dim=2,
         potential=lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
@@ -275,7 +281,7 @@ def make_rot2d(h: float = 1.0) -> TestProblem:
         ).copy(),
         antisym=antisym,
         grad_antisym=_zeros_tensor(2),
-        jac_drift=jac,
+        jac_drift=antisym,  # b = -H^T x = H x, so the Jacobian of b is H
         normalizer=2.0 * math.pi,
         name="ROT2D",
     )
@@ -351,7 +357,7 @@ def make_dw1d() -> TestProblem:
         potential=lambda x: (np.asarray(x, dtype=float)[..., 0] ** 2 - 1.0) ** 2,
         grad_potential=grad,
         hess_potential=hess,
-        antisym=_zeros_matrix(1),
+        antisym=None,
         grad_antisym=_zeros_tensor(1),
         jac_drift=_zeros_matrix(1),
         normalizer=None,

@@ -33,6 +33,7 @@ from .model import (
     apply_A,
     apply_generator,
     apply_L,
+    antisym_field,
     curvature_sup,
     drift_b,
 )
@@ -303,7 +304,7 @@ def _ell_2_star(model: CoefficientModel, ensemble: StationaryEnsemble, r: float)
     """Coefficient Sobolev size: sum of W^{1,r} norms of H entries plus W^{2,r} of U."""
     pts = ensemble.points
     d = model.dim
-    h = model.antisym(pts)
+    h = antisym_field(model, pts)
     gh = model.grad_antisym(pts)
     total = 0.0
     for i in range(d):

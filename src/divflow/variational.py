@@ -174,28 +174,32 @@ class ThetaResult:
         return float(np.max(np.abs(self.ode - self.duhamel)))
 
 
-def theta_flow(jac: DriftJacobianPath, control: "ControlPath", dt: float | None = None) -> ThetaResult:
+def theta_flow(
+    jac: DriftJacobianPath, c: FundamentalMatrix, control: "ControlPath", dt: float | None = None
+) -> ThetaResult:
     """Discrepancy grid: dT = A T - g, T(0) = I, plus the Duhamel route.
 
     The reconstruction uses T(t) = C(t,0) [I - int_0^{min(t,t0)} C(s,0)^{-1} g(s) ds]
-    with the integral taken by the trapezoid rule on the grid.
+    with the integral taken by the trapezoid rule on the grid; c must be
+    `fundamental_matrix(jac)`, the propagator the control was built from.
     """
     dt = jac.dt if dt is None else dt
     _check_alignment(jac, control, dt)
+    if c.matrices.shape != jac.matrices.shape or not np.array_equal(c.times, jac.times):
+        raise ConfigError("the propagator c is not on the grid of the jacobian path")
     n_steps = jac.matrices.shape[0] - 1
     eye = np.eye(jac.dim)
     ode = _propagate_grid(jac.matrices, dt, eye, _forcing_grid(control, n_steps, -1.0))
 
-    c = fundamental_matrix(jac, dt).matrices
     n0 = min(control.horizon_index, n_steps)
     g_closed = control.values[: n0 + 1].copy()
     g_closed[n0] = control.boundary
-    integrand = np.linalg.inv(c[: n0 + 1]) @ g_closed
+    integrand = np.linalg.inv(c.matrices[: n0 + 1]) @ g_closed
     prefix = engine.trapezoid_prefix(integrand, dt, axis=0)
     full = np.empty_like(ode)
     full[: n0 + 1] = prefix
     full[n0 + 1 :] = prefix[n0]
-    duhamel = c @ (eye - full)
+    duhamel = c.matrices @ (eye - full)
     return ThetaResult(times=jac.times, ode=ode, duhamel=duhamel)
 
 

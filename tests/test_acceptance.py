@@ -86,8 +86,9 @@ def test_criterion_03_control_correctness(all_problems):
             noise = dv.WienerGrid.generate(SEED + 3, k, n, dt, problem.dim)
             traj = dv.simulate_path(problem.model, x, 2.0 * t0, dt, noise)
             jac = dv.drift_jacobian_path(problem.model, traj)
-            control = dv.build_control(dv.fundamental_matrix(jac), policy)
-            theta = dv.theta_flow(jac, control)
+            c = dv.fundamental_matrix(jac)
+            control = dv.build_control(c, policy)
+            theta = dv.theta_flow(jac, c, control)
             theta_worst = max(theta_worst, float(np.max(np.abs(theta.ode[control.horizon_index :]))))
             mismatch[tag] = max(mismatch.get(tag, 0.0), theta.route_mismatch)
             ok &= theta.route_mismatch < tol

@@ -1,9 +1,12 @@
 """Command-line contract: config validation, outputs, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import divflow as dv
@@ -275,8 +278,11 @@ def test_check_tuple_matches_the_report_rows(tmp_path):
 
 
 def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
-    """Context and the checks that read norms: one norm profile per battery function, one E(gamma0)."""
-    calls = {"norm_profile": 0, "apply_generator": 0, "exp_integrability": 0}
+    """Context and the checks that read norms: one norm profile per battery function, one E(gamma0).
+
+    The control-discrepancy check solves one propagator per path and reuses it for the Duhamel route.
+    """
+    calls = {"norm_profile": 0, "apply_generator": 0, "exp_integrability": 0, "fundamental_matrix": 0}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divflow"]
     for name in calls:
         original = getattr(dv, name)
@@ -289,7 +295,22 @@ def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     ctx = cli._verify_context(parse_config(verify_config(tmp_path, ensemble=2000)))
-    results = [cli._gradient_inequality(ctx), cli._hessian_inequality(ctx), cli._exp_integrability(ctx)]
-    assert [res.name for res in results] == ["gradient_inequality", "hessian_inequality", "exp_integrability"]
+    checks = [cli._gradient_inequality, cli._hessian_inequality, cli._exp_integrability, cli._control_discrepancy]
+    results = [check(ctx) for check in checks]
+    assert [res.name for res in results] == [check.__name__[1:] for check in checks]
     assert len(ctx.battery) == 12
-    assert calls == {"norm_profile": 12, "apply_generator": 12, "exp_integrability": 1}
+    assert calls == {"norm_profile": 12, "apply_generator": 12, "exp_integrability": 1, "fundamental_matrix": 3}
+
+
+def test_coefficients_check_fails_on_a_wrong_h_declaration():
+    """A false "H = 0" (antisym None) or "H constant" (zero grad H) on VARH2D is caught, not trusted."""
+    varh2d = dv.make_varh2d()
+    ensemble = dv.sample_stationary(varh2d, 100, seed=3)
+    assert cli._coefficients(SimpleNamespace(model=varh2d.model, ensemble=ensemble)).passed
+    for wrong in (
+        dataclasses.replace(varh2d.model, antisym=None),
+        dataclasses.replace(varh2d.model, grad_antisym=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2))),
+    ):
+        res = cli._coefficients(SimpleNamespace(model=wrong, ensemble=ensemble))
+        assert not res.passed
+        assert res.report["grad_antisym_fd_max_dev"] > 1.0e-6

@@ -81,7 +81,7 @@ def test_control_reconstruction_invariant(ou1d):
 def test_control_drives_discrepancy_to_zero(ou1d):
     _, jac, c = chain(ou1d.model, [0.2], 1.0, 1e-3, seed=4)
     control = dv.build_control(c, dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0))
-    theta = dv.theta_flow(jac, control)
+    theta = dv.theta_flow(jac, c, control)
     assert np.max(np.abs(theta.ode[control.horizon_index :])) < 1e-6
 
 

@@ -1,12 +1,15 @@
 """Coefficient model: drift, curvature, generator pieces against oracles."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import divflow as dv
+from divflow import engine, norms
 
 from conftest import random_points
 
@@ -34,6 +37,8 @@ def divergence_form_fd(model, f, x, h=1.0e-4):
     def flux(y):
         weight = np.exp(u_center - model.potential(y))
         grad = f.grad(y)
+        if model.antisym is None:  # H = 0
+            return weight[..., None] * grad
         skew = np.einsum("...ij,...j->...i", model.antisym(y), grad)
         return weight[..., None] * (grad + skew)
 
@@ -229,3 +234,39 @@ def test_make_problem_registry():
     assert dv.make_problem("ROT2D", h=3.0).params["h"] == 3.0
     with pytest.raises(dv.ConfigError):
         dv.make_problem("NOPE")
+
+
+# ---------------------------------------------------------------------------
+# antisym None is an exact zero H
+# ---------------------------------------------------------------------------
+
+
+def _assert_bits_equal(actual, expected):
+    assert_array_equal(actual, expected)
+    assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize("tag", ["OU1D", "DW1D"])
+def test_antisym_none_is_bit_identical_to_an_explicit_zero_h(tag, all_problems):
+    problem = next(p for p in all_problems if p.tag == tag)
+    model, d = problem.model, problem.dim
+    assert model.antisym is None
+    zeros = dataclasses.replace(model, antisym=lambda x: np.zeros(np.asarray(x).shape[:-1] + (d, d)))
+    # random points plus the stationary points of U, where the drift is a signed zero
+    pts = np.concatenate(
+        [random_points(d, 200, seed=31), np.zeros((1, d)), np.ones((1, d)), -np.ones((1, d))]
+    )
+    for fn in (dv.drift_b, dv.total_drift):
+        _assert_bits_equal(fn(model, pts), fn(zeros, pts))
+    for f in (dv.coordinate(0, d), dv.square(d), dv.bump(np.full(d, 0.3), 1.0)):
+        _assert_bits_equal(dv.apply_generator(model, f, pts), dv.apply_generator(zeros, f, pts))
+    assert dv.consistency_report(model, pts) == dv.consistency_report(zeros, pts)
+    method = "exact" if problem.stationary_sampler is not None else "langevin"
+    ens = dv.sample_stationary(problem, 2000, method=method, seed=5)
+    assert norms._ell_2_star(model, ens, 4.0) == norms._ell_2_star(zeros, ens, 4.0)
+    rng = np.random.default_rng(7)
+    x0 = np.concatenate([np.zeros((1, d)), rng.standard_normal((63, d))])
+    increments = np.sqrt(1e-3) * rng.standard_normal((64, 200, d))
+    ours = [x for _, x, _ in engine.sweep(model, x0, 1e-3, increments)]
+    theirs = [x for _, x, _ in engine.sweep(zeros, x0, 1e-3, increments)]
+    _assert_bits_equal(np.stack(ours), np.stack(theirs))

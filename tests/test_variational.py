@@ -213,7 +213,7 @@ def test_linearity_identity_exact(tag, all_problems):
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
     control = dv.build_control(c, policy)
     zeta = dv.malliavin_flow(jac, control)
-    theta = dv.theta_flow(jac, control).ode
+    theta = dv.theta_flow(jac, c, control).ode
     assert np.max(np.abs(c.matrices - zeta - theta)) < 1e-12
 
 
@@ -226,7 +226,7 @@ def test_theta_without_control_equals_propagator(ou1d):
         horizon_index=250,
         boundary=np.zeros((1, 1)),
     )
-    theta = dv.theta_flow(jac, control)
+    theta = dv.theta_flow(jac, c, control)
     assert_allclose(theta.ode, c.matrices, atol=1e-14)
 
 
@@ -239,7 +239,7 @@ def test_theta_vanishes_after_horizon(tag, dt, all_problems):
     for k in range(3):
         _, jac, c = make_chain(problem, [0.3] * problem.dim, 2.0 * t0, dt, seed=20, path_index=k)
         control = dv.build_control(c, policy)
-        theta = dv.theta_flow(jac, control)
+        theta = dv.theta_flow(jac, c, control)
         n0 = control.horizon_index
         assert np.max(np.abs(theta.ode[n0:])) < 1e-5
 
@@ -248,7 +248,7 @@ def test_duhamel_route_agreement_ou(ou1d):
     _, jac, c = make_chain(ou1d, [0.2], 2.0, 1e-3, seed=21)
     policy = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0)
     control = dv.build_control(c, policy)
-    theta = dv.theta_flow(jac, control)
+    theta = dv.theta_flow(jac, c, control)
     assert theta.route_mismatch < 1e-6
 
 
@@ -258,7 +258,7 @@ def test_duhamel_route_agreement_variable_coefficients(tag, tol, all_problems):
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
     _, jac, c = make_chain(problem, [0.3] * problem.dim, 0.5, 5e-4, seed=22)
     control = dv.build_control(c, policy)
-    theta = dv.theta_flow(jac, control)
+    theta = dv.theta_flow(jac, c, control)
     assert theta.route_mismatch < tol
 
 
@@ -273,3 +273,13 @@ def test_control_grid_mismatch_rejected(ou1d):
     )
     with pytest.raises(dv.ConfigError):
         dv.malliavin_flow(jac, control)
+
+
+def test_theta_rejects_a_propagator_from_another_grid(ou1d):
+    _, jac, c = make_chain(ou1d, [0.2], 1.0, 1e-3, seed=24)
+    control = dv.build_control(c, dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0))
+    _, _, c_coarse = make_chain(ou1d, [0.2], 1.0, 2e-3, seed=24)
+    shifted = dv.FundamentalMatrix(times=c.times + 1.0, matrices=c.matrices)
+    for wrong in (c_coarse, shifted):
+        with pytest.raises(dv.ConfigError, match="propagator"):
+            dv.theta_flow(jac, wrong, control)
