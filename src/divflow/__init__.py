@@ -29,7 +29,6 @@ from .estimator import (
     PathSummary,
     flow_summary,
     frechet_from_summary,
-    grad_generator_variant,
     grad_malliavin,
     ibp_from_summary,
     ito_integral,

@@ -43,10 +43,10 @@ from .norms import (
     MomentTestConfig,
     NormProfile,
     balanced_horizon,
+    check_gradient_inequality,
+    check_hessian_inequality,
     decay_check,
     exp_integrability,
-    gradient_from_profiles,
-    hessian_from_profiles,
     moment_bound_check,
     norm_profile,
     operator_symmetry_check,
@@ -369,6 +369,8 @@ def _parse_point(text: str, dim: int):
         vals = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"cannot parse point {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"point {text!r} has a non-finite coordinate")
     if len(vals) != dim:
         raise ConfigError(f"point {text!r} has {len(vals)} coordinates, expected {dim}")
     return np.asarray(vals)
@@ -593,7 +595,7 @@ def _ibp_identity(ctx: VerifyContext) -> CheckResult:
 def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
     """First-derivative bound with the theoretical constant."""
     c = ctx.config
-    rep = gradient_from_profiles(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.integrability)
+    rep = check_gradient_inequality(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.integrability)
     return CheckResult(
         "gradient_inequality",
         rep.passed,
@@ -604,7 +606,7 @@ def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
 
 def _hessian_inequality(ctx: VerifyContext) -> CheckResult:
     """Second-derivative bound with a fitted constant."""
-    rep = hessian_from_profiles(ctx.model, ctx.profiles, ctx.config.p, ctx.config.q, ctx.ensemble)
+    rep = check_hessian_inequality(ctx.model, ctx.profiles, ctx.config.p, ctx.config.q, ctx.ensemble)
     return CheckResult(
         "hessian_inequality",
         rep.passed and math.isfinite(rep.constant),

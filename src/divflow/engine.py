@@ -151,25 +151,22 @@ def euler_sweep(
     dt: float,
     increments: Array,
     r_guard: float = DEFAULT_R_GUARD,
-    store: bool = True,
 ) -> tuple[Array, Array]:
-    """Run `sweep` to the end.
+    """Run `sweep` to the end and keep every state.
 
-    Returns (states, exit_step) where states is (B, n+1, d) when store is
-    True and the final (B, d) state otherwise.  exit_step[i] is the step at
-    which path i left the guard radius, or -1.
+    Returns (states, exit_step) where states is (B, n+1, d) and exit_step[i]
+    is the step at which path i left the guard radius, or -1.
     """
     n_paths, n_steps, dim = increments.shape
     exit_step = np.full(n_paths, -1, dtype=np.int64)
-    states = np.empty((n_paths, n_steps + 1, dim)) if store else None
+    states = np.empty((n_paths, n_steps + 1, dim))
     last = None
     for k, x, alive in sweep(model, x0, dt, increments, r_guard):
-        if store:
-            states[:, k] = x
+        states[:, k] = x
         if alive is not last:
             exit_step[(exit_step < 0) & ~alive] = k
             last = alive
-    return (states if store else x), exit_step
+    return states, exit_step
 
 
 def rk4_step(

@@ -25,7 +25,7 @@ from . import engine
 from .control import ControlPath, HorizonPolicy
 from .errors import ConfigError, EvaluationError
 from .functions import TestFunction
-from .model import CoefficientModel, apply_generator
+from .model import CoefficientModel
 from .sde import WienerGrid
 
 Array = np.ndarray
@@ -238,75 +238,3 @@ def ibp_from_summary(f: TestFunction, summary: PathSummary) -> IbpReport:
     )
     res_mean, res_se, _ = _component_stats(per_path, summary.alive)
     return IbpReport(frechet=fre, malliavin=mal, residual=res_mean, residual_se=res_se)
-
-
-def grad_generator_variant(
-    model: CoefficientModel,
-    f: TestFunction,
-    x,
-    policy: HorizonPolicy,
-    t: float,
-    n_paths: int,
-    dt: float,
-    inner_paths: int = 100,
-    seed: int = 0,
-    threads: int = 1,
-) -> GradientEstimate:
-    """Decay-route estimate of -d_j P_{t - t0} (G f) weighted by the Ito integral.
-
-    For t >= t0 the estimate is -E[ P_{t-t0} G f (X(t0;x)) (int g dw)_j ],
-    with the inner semigroup value itself estimated by nested Monte Carlo
-    (inner_paths per outer path) and the inner noise propagated into the
-    standard error by the delta method.
-    """
-    if t < policy.t0 - 1.0e-12:
-        raise ConfigError(f"t={t} must be at least the control horizon t0={policy.t0}")
-    summary = flow_summary(
-        model, x, policy.t0, dt, n_paths, seed=seed, t0=policy.t0, threads=threads
-    )
-    alive = summary.alive
-    if not alive.any():
-        raise EvaluationError("all paths hit the radius guard")
-    n_inner_steps = engine.steps_for(t - policy.t0, dt) if t > policy.t0 + 1.0e-12 else 0
-    d = model.dim
-    m = inner_paths
-    n = summary.n_paths
-
-    if n_inner_steps == 0:
-        inner_mean = apply_generator(model, f, summary.states)
-        inner_var = np.zeros(n)
-    else:
-        # Inner path i keeps noise index n + i; those of exited outer paths
-        # are not run, and an inner guard exit stops the estimate.
-        starts = np.repeat(summary.states, m, axis=0)
-        live = np.repeat(alive, m)
-        vals = np.zeros(n * m)
-        for off, size in engine.batch_sizes(n * m, n_inner_steps, d):
-            part = slice(off, off + size)
-            keep = live[part]
-            inc = engine.increments_block(seed, n + off, size, n_inner_steps, dt, d)
-            if not keep.all():
-                inc = inc[keep]
-            for _, end, _ in engine.require_alive(engine.sweep(model, starts[part][keep], dt, inc)):
-                pass
-            vals[part][keep] = apply_generator(model, f, end)
-        vals = vals.reshape(n, m)
-        inner_mean = vals.mean(axis=1)
-        inner_var = vals.var(axis=1, ddof=1) / m
-
-    samples = -inner_mean[:, None] * summary.ito
-    kept = alive
-    n_kept = int(np.count_nonzero(kept))
-    mean = samples[kept].mean(axis=0)
-    outer_var = samples[kept].var(axis=0, ddof=1)
-    inner_term = np.mean(summary.ito[kept] ** 2 * inner_var[kept, None], axis=0)
-    se = np.sqrt((outer_var + inner_term) / n_kept)
-    return GradientEstimate(
-        estimate=mean,
-        std_error=se,
-        n_paths=n,
-        route="malliavin",
-        horizon=t,
-        x=summary.x,
-        exited_fraction=summary.exited_fraction,
-    )

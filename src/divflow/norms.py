@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,18 +48,13 @@ class NormEstimate:
     std_error: float
 
 
-def lp_norm(values: Array, p: float, ensemble: Optional[StationaryEnsemble] = None) -> NormEstimate:
-    """Empirical L^p norm (mean |v|^p)^{1/p} with a delta-method standard error."""
+def lp_norm(values: Array, p: float, ensemble: StationaryEnsemble) -> NormEstimate:
+    """Empirical L^p norm (mean |v|^p)^{1/p} over the ensemble, with a delta-method SE."""
     if p < 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     values = np.abs(np.asarray(values, dtype=float))
     powered = values**p
-    if ensemble is not None:
-        mean, se_mean = ensemble.mean_and_se(powered)
-    else:
-        mean = float(np.mean(powered))
-        n = powered.shape[0]
-        se_mean = float(np.std(powered, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean, se_mean = ensemble.mean_and_se(powered)
     if mean <= 0.0:
         return NormEstimate(value=0.0, std_error=0.0)
     norm = mean ** (1.0 / p)
@@ -234,13 +229,13 @@ def _ratio_row(
     )
 
 
-def balanced_horizon(gen_lq, f_lq, t_star: float, size: int = 8) -> float:
+def balanced_horizon(gen_lq, f_lq, t_star: float) -> float:
     """Horizon minimising the mean over functions of sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0).
 
     gen_lq and f_lq are the norms of one function or of a battery; the scan
-    runs over `size` log-spaced horizons in [t_star / 100, t_star].
+    runs over 8 log-spaced horizons in [t_star / 100, t_star].
     """
-    grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), size))
+    grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), 8))
     root = np.sqrt(grid)[:, None]
     scores = np.mean(root * np.asarray(gen_lq) + np.asarray(f_lq) / root, axis=1)
     return float(grid[int(np.argmin(scores))])
@@ -248,43 +243,24 @@ def balanced_horizon(gen_lq, f_lq, t_star: float, size: int = 8) -> float:
 
 def check_gradient_inequality(
     model: CoefficientModel,
-    battery: Sequence[TestFunction],
-    p: float,
-    q: float,
-    policy: HorizonPolicy,
-    ensemble: StationaryEnsemble,
-    t0_grid_size: int = 8,
-) -> InequalityReport:
-    """Test the first-derivative bound for every battery function.
-
-    Computes each function's `norm_profile` and E(gamma0) and hands them to
-    `gradient_from_profiles`.
-    """
-    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
-    integ = exp_integrability(model, ensemble, policy.gamma0)
-    return gradient_from_profiles(model, profiles, p, q, policy, integ, t0_grid_size)
-
-
-def gradient_from_profiles(
-    model: CoefficientModel,
     profiles: Sequence[NormProfile],
     p: float,
     q: float,
     policy: HorizonPolicy,
     integ: ExpIntegrability,
-    t0_grid_size: int = 8,
 ) -> InequalityReport:
-    """The first-derivative bound on norms and an E(gamma0) already computed.
+    """Test the first-derivative bound on each battery function's norm profile.
 
-    Also scans the horizon-balanced right side
-    C (sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0)) over a log grid in
-    (0, t_star] and reports the minimising horizon per function.
+    `integ` is E(gamma0) on the ensemble behind the profiles.  Also scans the
+    horizon-balanced right side C (sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0))
+    over a log grid in (0, t_star] and reports the minimising horizon per
+    function.
     """
     r = r_exponent(p, q)
     constant = constant_c(model.dim, r, integ.value)
     rows = []
     for prof in profiles:
-        best_t0 = balanced_horizon(prof.gen_lq.value, prof.f_lq.value, policy.t_star, t0_grid_size)
+        best_t0 = balanced_horizon(prof.gen_lq.value, prof.f_lq.value, policy.t_star)
         rows.append(_ratio_row(prof.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant, best_t0))
     return InequalityReport(
         kind="gradient",
@@ -321,34 +297,20 @@ def _ell_2_star(model: CoefficientModel, ensemble: StationaryEnsemble, r: float)
 
 def check_hessian_inequality(
     model: CoefficientModel,
-    battery: Sequence[TestFunction],
-    p: float,
-    q: float,
-    ensemble: StationaryEnsemble,
-    r_list: Sequence[float] = (2.0, 3.0, 4.0),
-) -> InequalityReport:
-    """Second-derivative bound with a fitted constant; see `hessian_from_profiles`."""
-    if not p < q:
-        raise ConfigError(f"need p < q, got p={p}, q={q}")
-    profiles = [norm_profile(model, f, ensemble, p, q) for f in battery]
-    return hessian_from_profiles(model, profiles, p, q, ensemble, r_list)
-
-
-def hessian_from_profiles(
-    model: CoefficientModel,
     profiles: Sequence[NormProfile],
     p: float,
     q: float,
     ensemble: StationaryEnsemble,
-    r_list: Sequence[float] = (2.0, 3.0, 4.0),
 ) -> InequalityReport:
-    """The second-derivative bound on norms already computed.
+    """Second-derivative bound with a fitted constant, on norms already computed.
 
     The constant here is not explicit (it enters through flat-measure
     elliptic regularity), so the check records the largest observed ratio
     and the coefficient Sobolev sizes; stability of the fitted constant
     under ensemble growth is asserted by the test suite.
     """
+    if not p < q:
+        raise ConfigError(f"need p < q, got p={p}, q={q}")
     ratios = []
     for prof in profiles:
         denom = prof.gen_lq.value + prof.f_lq.value
@@ -358,7 +320,7 @@ def hessian_from_profiles(
         _ratio_row(prof.name, prof.hess_lp, prof.gen_lq, prof.f_lq, fitted, 0.0)
         for prof in profiles
     ]
-    ell = {r: _ell_2_star(model, ensemble, r) for r in r_list}
+    ell = {r: _ell_2_star(model, ensemble, r) for r in (2.0, 3.0, 4.0)}
     return InequalityReport(
         kind="hessian",
         p=p,

@@ -121,12 +121,9 @@ def _propagate_grid(
     return grids
 
 
-def fundamental_matrix(jac: DriftJacobianPath, dt: float | None = None) -> FundamentalMatrix:
+def fundamental_matrix(jac: DriftJacobianPath) -> FundamentalMatrix:
     """Propagator grid C(t_k, 0) from the identity, by the Runge-Kutta scheme."""
-    dt = jac.dt if dt is None else dt
-    if abs(dt - jac.dt) > 1.0e-12 * max(1.0, dt):
-        raise ConfigError(f"dt {dt} does not match the jacobian grid spacing {jac.dt}")
-    grids = _propagate_grid(jac.matrices, dt, np.eye(jac.dim))
+    grids = _propagate_grid(jac.matrices, jac.dt, np.eye(jac.dim))
     finite = np.all(np.isfinite(grids), axis=(-2, -1))
     if not np.all(finite):
         step = int(np.argmin(finite.reshape(-1, finite.shape[-1]).all(axis=0)))
@@ -152,13 +149,12 @@ def propagator(c: FundamentalMatrix, t: float, s: float) -> Array:
     return c.matrices[kt] @ np.linalg.inv(cs)
 
 
-def malliavin_flow(jac: DriftJacobianPath, control: "ControlPath", dt: float | None = None) -> Array:
+def malliavin_flow(jac: DriftJacobianPath, control: "ControlPath") -> Array:
     """Noise-direction derivative grid: dZ = A Z + g, Z(0) = 0."""
-    dt = jac.dt if dt is None else dt
-    _check_alignment(jac, control, dt)
+    _check_alignment(jac, control)
     n_steps = jac.matrices.shape[0] - 1
     zero = np.zeros((jac.dim, jac.dim))
-    return _propagate_grid(jac.matrices, dt, zero, _forcing_grid(control, n_steps, +1.0))
+    return _propagate_grid(jac.matrices, jac.dt, zero, _forcing_grid(control, n_steps, +1.0))
 
 
 @dataclass(frozen=True)
@@ -174,17 +170,15 @@ class ThetaResult:
         return float(np.max(np.abs(self.ode - self.duhamel)))
 
 
-def theta_flow(
-    jac: DriftJacobianPath, c: FundamentalMatrix, control: "ControlPath", dt: float | None = None
-) -> ThetaResult:
+def theta_flow(jac: DriftJacobianPath, c: FundamentalMatrix, control: "ControlPath") -> ThetaResult:
     """Discrepancy grid: dT = A T - g, T(0) = I, plus the Duhamel route.
 
     The reconstruction uses T(t) = C(t,0) [I - int_0^{min(t,t0)} C(s,0)^{-1} g(s) ds]
     with the integral taken by the trapezoid rule on the grid; c must be
     `fundamental_matrix(jac)`, the propagator the control was built from.
     """
-    dt = jac.dt if dt is None else dt
-    _check_alignment(jac, control, dt)
+    dt = jac.dt
+    _check_alignment(jac, control)
     if c.matrices.shape != jac.matrices.shape or not np.array_equal(c.times, jac.times):
         raise ConfigError("the propagator c is not on the grid of the jacobian path")
     n_steps = jac.matrices.shape[0] - 1
@@ -203,12 +197,10 @@ def theta_flow(
     return ThetaResult(times=jac.times, ode=ode, duhamel=duhamel)
 
 
-def _check_alignment(jac: DriftJacobianPath, control: "ControlPath", dt: float) -> None:
-    if abs(dt - jac.dt) > 1.0e-12 * max(1.0, dt):
-        raise ConfigError(f"dt {dt} does not match the jacobian grid spacing {jac.dt}")
+def _check_alignment(jac: DriftJacobianPath, control: "ControlPath") -> None:
     if control.values.shape[-1] != jac.dim:
         raise ConfigError(
             f"control dimension {control.values.shape[-1]} does not match flow dimension {jac.dim}"
         )
-    if abs(control.dt - dt) > 1.0e-12 * max(1.0, dt):
-        raise ConfigError(f"control grid dt {control.dt} does not match dt {dt}")
+    if abs(control.dt - jac.dt) > 1.0e-12 * max(1.0, jac.dt):
+        raise ConfigError(f"control grid dt {control.dt} does not match dt {jac.dt}")

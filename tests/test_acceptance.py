@@ -150,9 +150,10 @@ def test_criterion_06_gradient_inequality(all_problems, ensembles):
             policy = dv.HorizonPolicy(
                 t0=min(t0, gamma0 / r), gamma0=gamma0, r=r
             )
-            rep = dv.check_gradient_inequality(
-                problem.model, dv.battery_for(problem), p, q, policy, ensembles[tag]
-            )
+            ens = ensembles[tag]
+            profiles = [dv.norm_profile(problem.model, f, ens, p, q) for f in dv.battery_for(problem)]
+            integ = dv.exp_integrability(problem.model, ens, policy.gamma0)
+            rep = dv.check_gradient_inequality(problem.model, profiles, p, q, policy, integ)
             ok &= rep.passed
             worst = max(worst, max(row.ratio / rep.constant for row in rep.rows))
             print(

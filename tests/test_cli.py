@@ -180,6 +180,20 @@ def test_gradient_unknown_function(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "point, code, message",
+    [
+        ("nan,0", EXIT_CONFIG, "config error"),
+        ("0,inf", EXIT_CONFIG, "config error"),
+        ("1e200,0", EXIT_RUNTIME, "radius guard"),  # finite but outside the guard
+    ],
+)
+def test_gradient_point_exit_codes(tmp_path, capsys, point, code, message):
+    cfg_path = write_config(tmp_path / "g.ini", tag="ROT2D", paths=200, t0="0.5")
+    assert main(["gradient", "--config", str(cfg_path), "--function", "bump0_w1", "--x", point]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_gradient_policy_violation_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path / "g.ini", t0="9.0")  # t_star = 8/4 = 2
     code = main(

@@ -38,9 +38,7 @@ def test_flow_summary_and_euler_sweep_share_the_guard(ou1d):
     x, t_end, dt, n_paths, seed = 0.5, 1.0, 0.01, 400, 3
     n = engine.steps_for(t_end, dt)
     inc = engine.increments_block(seed, 0, n_paths, n, dt, 1)
-    _, exit_step = engine.euler_sweep(
-        ou1d.model, np.full((n_paths, 1), x), dt, inc, r_guard=1.0, store=False
-    )
+    _, exit_step = engine.euler_sweep(ou1d.model, np.full((n_paths, 1), x), dt, inc, r_guard=1.0)
     summary = dv.flow_summary(ou1d.model, [x], t_end, dt, n_paths, seed=seed, r_guard=1.0)
     assert 0 < np.count_nonzero(exit_step >= 0) < n_paths
     assert_array_equal(summary.alive, exit_step < 0)

@@ -1,4 +1,4 @@
-"""Gradient estimators: Ito integrals, both routes, identity and decay checks."""
+"""Gradient estimators: Ito integrals, both routes and the identity check."""
 from __future__ import annotations
 
 import math
@@ -193,77 +193,6 @@ def test_fused_kernel_matches_per_path_reference(ou1d, dw1d):
             assert_allclose(summary.states[i], traj.states[-1], atol=1e-12)
             assert_allclose(summary.frechet[i], c.matrices[-1], atol=1e-10)
             assert_allclose(summary.ito[i], dv.ito_integral(control, noise), atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# decay-route variant
-# ---------------------------------------------------------------------------
-
-
-def test_generator_variant_reduces_to_ibp_at_horizon(ou1d):
-    f = dv.bump([0.3], 1.5)
-    est = dv.grad_generator_variant(
-        ou1d.model, f, [0.3], OU_POLICY, 1.0, 5000, 2e-3, inner_paths=10, seed=26
-    )
-
-    def gen_f():
-        def value(x):
-            return dv.apply_generator(ou1d.model, f, x)
-
-        return dv.TestFunction(name="Gf", dim=1, value=value, grad=f.grad, hess=f.hess)
-
-    direct = dv.grad_malliavin(ou1d.model, gen_f(), [0.3], OU_POLICY, 5000, 2e-3, seed=26)
-    assert_allclose(est.estimate, -direct.estimate, atol=1e-12)
-
-
-def test_generator_variant_decays_ou(ou1d):
-    # for f = x the decay-route values are e^{-t/2} / 2: monotone in t
-    vals = []
-    ses = []
-    for t in (1.0, 2.0, 4.0):
-        est = dv.grad_generator_variant(
-            ou1d.model,
-            dv.coordinate(0, 1),
-            [1.0],
-            OU_POLICY,
-            t,
-            4000,
-            1e-2,
-            inner_paths=50,
-            seed=27,
-        )
-        vals.append(abs(est.estimate[0]))
-        ses.append(est.std_error[0])
-        assert est.estimate[0] == pytest.approx(0.5 * math.exp(-t / 2.0), abs=3.5 * est.std_error[0])
-    assert vals[1] <= vals[0] + 3.0 * math.hypot(ses[0], ses[1])
-    assert vals[2] <= vals[1] + 3.0 * math.hypot(ses[1], ses[2])
-
-
-def test_generator_variant_constant_function(ou1d):
-    est = dv.grad_generator_variant(
-        ou1d.model, dv.constant(1.0, 1), [0.5], OU_POLICY, 1.0, 2000, 1e-2, inner_paths=10, seed=28
-    )
-    assert abs(est.estimate[0]) <= 3.0 * est.std_error[0] + 1e-12
-
-
-def test_generator_variant_stops_at_an_inner_guard_exit(dw1d):
-    # At dt = 0.5 the DW1D Euler map x -> 3x - 2x^3 + dw is unstable: the
-    # one-step outer paths stay inside the guard, the inner paths leave it.
-    policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=4.0)
-    with pytest.raises(dv.IntegrationError) as err:
-        dv.grad_generator_variant(
-            dw1d.model, dv.coordinate(0, 1), [0.0], policy, 3.0, 20, 0.5, inner_paths=5, seed=1
-        )
-    assert err.value.step >= 1
-
-
-def test_generator_variant_raises_when_every_path_exits(dw1d):
-    # From x = 3 the dt = 0.5 Euler map leaves the guard on every path before t0.
-    policy = dv.HorizonPolicy(t0=1.5, gamma0=8.0, r=4.0)
-    with pytest.raises(dv.EvaluationError, match="all paths hit the radius guard"):
-        dv.grad_generator_variant(
-            dw1d.model, dv.coordinate(0, 1), [3.0], policy, 1.5, 20, 0.5, inner_paths=5, seed=1
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ import divflow as dv
 OU_POLICY = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=4.0)
 
 
+def check_inputs(model, battery, ensemble, p, q, gamma0=None):
+    """The battery's norm profiles and, given gamma0, E(gamma0): what the checks read."""
+    profiles = [dv.norm_profile(model, f, ensemble, p, q) for f in battery]
+    integ = dv.exp_integrability(model, ensemble, gamma0) if gamma0 is not None else None
+    return profiles, integ
+
+
 def dw_density():
     z, _ = quad(lambda s: math.exp(-((s * s - 1.0) ** 2)), -12, 12)
     return lambda s: math.exp(-((s * s - 1.0) ** 2)) / z
@@ -42,7 +49,7 @@ def test_lp_norm_gaussian_moments(ou_ensemble):
 
 def test_lp_norm_rejects_bad_p(ou_ensemble):
     with pytest.raises(dv.ConfigError):
-        dv.lp_norm(np.ones(10), 0.5)
+        dv.lp_norm(np.ones(10), 0.5, ou_ensemble)
 
 
 def test_holder_consistency_on_battery(ou1d, ou_ensemble):
@@ -114,17 +121,17 @@ def test_r_exponent_pairs():
 
 def test_gradient_inequality_zero_function(ou1d, ou_ensemble):
     zero = dv.constant(0.0, 1)
-    rep = dv.check_gradient_inequality(
-        ou1d.model, [zero], 2.0, 4.0, OU_POLICY, ou_ensemble
-    )
+    profiles, integ = check_inputs(ou1d.model, [zero], ou_ensemble, 2.0, 4.0, OU_POLICY.gamma0)
+    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, OU_POLICY, integ)
     assert rep.rows[0].ratio == 0.0
     assert rep.passed
 
 
 def test_gradient_inequality_ou_battery(ou1d, ou_ensemble):
-    rep = dv.check_gradient_inequality(
-        ou1d.model, dv.battery_for(ou1d), 2.0, 4.0, OU_POLICY, ou_ensemble
+    profiles, integ = check_inputs(
+        ou1d.model, dv.battery_for(ou1d), ou_ensemble, 2.0, 4.0, OU_POLICY.gamma0
     )
+    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, OU_POLICY, integ)
     assert rep.passed
     assert rep.constant == pytest.approx(dv.constant_c(1, 4.0, 1.0))
     assert all(0.0 < row.best_t0 <= OU_POLICY.t_star for row in rep.rows)
@@ -132,21 +139,24 @@ def test_gradient_inequality_ou_battery(ou1d, ou_ensemble):
 
 def test_gradient_inequality_dw_battery(dw1d, dw_ensemble):
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=3.0)
-    rep = dv.check_gradient_inequality(
-        dw1d.model, dv.battery_for(dw1d), 1.5, 3.0, policy, dw_ensemble
+    profiles, integ = check_inputs(
+        dw1d.model, dv.battery_for(dw1d), dw_ensemble, 1.5, 3.0, policy.gamma0
     )
+    rep = dv.check_gradient_inequality(dw1d.model, profiles, 1.5, 3.0, policy, integ)
     assert rep.passed
 
 
 def test_gradient_inequality_rejects_bad_exponents(ou1d, ou_ensemble):
+    profiles, integ = check_inputs(
+        ou1d.model, dv.battery_for(ou1d), ou_ensemble, 4.0, 2.0, OU_POLICY.gamma0
+    )
     with pytest.raises(dv.ConfigError):
-        dv.check_gradient_inequality(
-            ou1d.model, dv.battery_for(ou1d), 4.0, 2.0, OU_POLICY, ou_ensemble
-        )
+        dv.check_gradient_inequality(ou1d.model, profiles, 4.0, 2.0, OU_POLICY, integ)
 
 
 def test_hessian_inequality_zero_function(ou1d, ou_ensemble):
-    rep = dv.check_hessian_inequality(ou1d.model, [dv.constant(0.0, 1)], 2.0, 4.0, ou_ensemble)
+    profiles, _ = check_inputs(ou1d.model, [dv.constant(0.0, 1)], ou_ensemble, 2.0, 4.0)
+    rep = dv.check_hessian_inequality(ou1d.model, profiles, 2.0, 4.0, ou_ensemble)
     assert rep.rows[0].ratio == 0.0
     assert rep.passed
 
@@ -154,8 +164,10 @@ def test_hessian_inequality_zero_function(ou1d, ou_ensemble):
 def test_hessian_inequality_stability(ou1d, ou_ensemble):
     bat = dv.battery_for(ou1d)
     small = dv.StationaryEnsemble(points=ou_ensemble.points[:10_000], provenance="exact")
-    rep_small = dv.check_hessian_inequality(ou1d.model, bat, 2.0, 4.0, small)
-    rep_big = dv.check_hessian_inequality(ou1d.model, bat, 2.0, 4.0, ou_ensemble)
+    small_profiles, _ = check_inputs(ou1d.model, bat, small, 2.0, 4.0)
+    big_profiles, _ = check_inputs(ou1d.model, bat, ou_ensemble, 2.0, 4.0)
+    rep_small = dv.check_hessian_inequality(ou1d.model, small_profiles, 2.0, 4.0, small)
+    rep_big = dv.check_hessian_inequality(ou1d.model, big_profiles, 2.0, 4.0, ou_ensemble)
     assert rep_small.passed and rep_big.passed
     assert rep_big.constant == pytest.approx(rep_small.constant, rel=0.10)
     assert set(rep_big.ell_2_star) == {2.0, 3.0, 4.0}
@@ -169,8 +181,10 @@ def test_hessian_inequality_stability_dw(dw1d, dw_ensemble):
         provenance=dw_ensemble.provenance,
         n_chains=dw_ensemble.n_chains,
     )
-    rep_small = dv.check_hessian_inequality(dw1d.model, bat, 2.0, 4.0, small)
-    rep_big = dv.check_hessian_inequality(dw1d.model, bat, 2.0, 4.0, dw_ensemble)
+    small_profiles, _ = check_inputs(dw1d.model, bat, small, 2.0, 4.0)
+    big_profiles, _ = check_inputs(dw1d.model, bat, dw_ensemble, 2.0, 4.0)
+    rep_small = dv.check_hessian_inequality(dw1d.model, small_profiles, 2.0, 4.0, small)
+    rep_big = dv.check_hessian_inequality(dw1d.model, big_profiles, 2.0, 4.0, dw_ensemble)
     assert rep_big.constant == pytest.approx(rep_small.constant, rel=0.10)
 
 

@@ -38,7 +38,8 @@ def test_long_horizon_variance_matches_stationary(ou1d):
     ends = []
     for off, size in engine.batch_sizes(n_paths, n, 1):
         inc = engine.increments_block(77, off, size, n, dt, 1)
-        end, _ = engine.euler_sweep(ou1d.model, np.zeros((size, 1)), dt, inc, store=False)
+        for _, end, _ in engine.sweep(ou1d.model, np.zeros((size, 1)), dt, inc):
+            pass
         ends.append(end[:, 0])
     var = float(np.var(np.concatenate(ends), ddof=1))
     assert var == pytest.approx(1.0, abs=0.02)
@@ -178,9 +179,8 @@ def test_weak_error_first_order(ou1d):
         for lev, dt in enumerate(dts):
             factor = int(round(dt / 0.001))
             inc = inc_fine.reshape(size, n_fine // factor, factor, 1).sum(axis=2)
-            end, _ = engine.euler_sweep(
-                ou1d.model, np.full((size, 1), x0), dt, inc, store=False
-            )
+            for _, end, _ in engine.sweep(ou1d.model, np.full((size, 1), x0), dt, inc):
+                pass
             sums[lev] += float(np.sum(end[:, 0]))
     errors = np.abs(sums / n_paths - x0 * math.exp(-0.5))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
