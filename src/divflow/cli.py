@@ -8,7 +8,8 @@ Three subcommands:
 
 Configuration is a strict INI file (unknown sections or keys are rejected)
 with sections [problem], [simulation], [inequality] and [output]; the
---seed/--out/--problem/--threads flags override individual entries.  Exit
+--seed/--out/--problem/--threads flags override individual entries.  `_KEYS`
+gives each key its section, admissible range and default.  Exit
 codes are stable: 0 success, 1 at least one verification check failed,
 2 configuration error, 3 runtime or numeric failure.  All emitted files are
 deterministic functions of the configuration and seed.
@@ -61,38 +62,47 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_SCHEMA = {
-    "problem": {"tag": str, "h": float},
-    "simulation": {
-        "dt": float,
-        "horizon": float,
-        "paths": int,
-        "seed": int,
-        "r_guard": float,
-    },
-    "inequality": {
-        "p": float,
-        "q": float,
-        "gamma0": float,
-        "t0": str,
-        "ensemble": int,
-    },
-    "output": {"dir": str},
+
+def _number(kind, admissible, rule: str):
+    """Caster: `kind(raw)`, rejected with ValueError unless `admissible` accepts it."""
+
+    def cast(raw):
+        value = kind(raw)
+        if not admissible(value):
+            raise ValueError(f"need {rule}")
+        return value
+
+    return cast
+
+
+_POSITIVE = _number(float, lambda v: 0.0 < v < math.inf, "a finite value > 0")
+_COUNT = _number(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _t0(raw) -> str | float:
+    return "auto" if str(raw).strip().lower() == "auto" else _POSITIVE(raw)
+
+
+# Every config key: its INI section (None: set by its flag only), the caster
+# that converts a raw value and enforces the key's range, and its default.
+# Values from the file and from the flags go through the same caster.
+_KEYS = {
+    "tag": ("problem", str.upper, "OU1D"),
+    "h": ("problem", _number(float, math.isfinite, "a finite value"), None),
+    "dt": ("simulation", _POSITIVE, 1.0e-3),
+    "horizon": ("simulation", _POSITIVE, 1.0),
+    "paths": ("simulation", _COUNT, 20000),
+    "seed": ("simulation", _number(int, lambda v: v >= 0, "an integer >= 0"), 2026),
+    "r_guard": ("simulation", _number(float, lambda v: v > 0.0, "a value > 0, or inf"), engine.DEFAULT_R_GUARD),
+    "p": ("inequality", float, 2.0),  # 1 <= p < q and r >= 2 are checked by r_exponent
+    "q": ("inequality", float, 4.0),
+    "gamma0": ("inequality", _POSITIVE, None),  # None: the problem's default
+    "t0": ("inequality", _t0, "auto"),
+    "ensemble": ("inequality", _COUNT, 40000),
+    "dir": ("output", str, "out"),
+    "threads": (None, _COUNT, 1),
 }
 
-_DEFAULTS = {
-    "tag": "OU1D",
-    "dt": 1.0e-3,
-    "horizon": 1.0,
-    "paths": 20000,
-    "seed": 2026,
-    "r_guard": engine.DEFAULT_R_GUARD,
-    "p": 2.0,
-    "q": 4.0,
-    "t0": "auto",
-    "ensemble": 40000,
-    "dir": "out",
-}
 
 # Fixed offsets keep the random streams of independent checks disjoint.
 _SEED_TAGS = {
@@ -135,95 +145,49 @@ class ExperimentConfig:
     def r(self) -> float:
         return r_exponent(self.p, self.q)
 
+    def gamma0_for(self, problem: TestProblem) -> float:
+        return self.gamma0 if self.gamma0 is not None else problem.gamma0_default
+
     def policy_for(self, problem: TestProblem, t0: Optional[float] = None) -> HorizonPolicy:
-        gamma0 = self.gamma0 if self.gamma0 is not None else problem.gamma0_default
         if t0 is None:
             if isinstance(self.t0, str):
                 raise ConfigError("t0 is 'auto'; resolve it before building a policy")
             t0 = float(self.t0)
-        return HorizonPolicy(t0=t0, gamma0=gamma0, r=self.r)
+        return HorizonPolicy(t0=t0, gamma0=self.gamma0_for(problem), r=self.r)
 
 
 def parse_config(path: str | Path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Read and validate the INI configuration, applying CLI overrides."""
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
+    """Read and validate the INI configuration, applying CLI overrides.
+
+    Every value, from the file or an override, goes through its key's caster
+    in `_KEYS`; a rejected value raises ConfigError naming the key.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(str(path)):
         raise ConfigError(f"cannot read config file {path}")
-    values: dict = {}
+    raw: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = [key for key, spec in _KEYS.items() if spec[0] == section]
+        if not keys:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _SCHEMA[section]:
+        for key, text in parser[section].items():
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            caster = _SCHEMA[section][key]
-            try:
-                values[key] = caster(raw)
-            except ValueError:
-                raise ConfigError(f"bad value {raw!r} for {section}.{key}") from None
-    overrides = overrides or {}
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-
-    tag = str(values.get("tag", _DEFAULTS["tag"])).upper()
-    problem_params = {}
-    if "h" in values:
-        if tag != "ROT2D":
-            raise ConfigError("parameter 'h' applies to ROT2D only")
-        problem_params["h"] = values["h"]
-    dt = float(values.get("dt", _DEFAULTS["dt"]))
-    horizon = float(values.get("horizon", _DEFAULTS["horizon"]))
-    paths = int(values.get("paths", _DEFAULTS["paths"]))
-    seed = int(values.get("seed", _DEFAULTS["seed"]))
-    r_guard = float(values.get("r_guard", _DEFAULTS["r_guard"]))
-    p = float(values.get("p", _DEFAULTS["p"]))
-    q = float(values.get("q", _DEFAULTS["q"]))
-    gamma0 = float(values["gamma0"]) if "gamma0" in values else None
-    t0_raw = str(values.get("t0", _DEFAULTS["t0"])).strip()
-    t0: str | float
-    if t0_raw.lower() == "auto":
-        t0 = "auto"
-    else:
+            raw[key] = text
+    raw.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    values = {}
+    for key, (_, cast, default) in _KEYS.items():
         try:
-            t0 = float(t0_raw)
-        except ValueError:
-            raise ConfigError(f"t0 must be 'auto' or a number, got {t0_raw!r}") from None
-    ensemble = int(values.get("ensemble", _DEFAULTS["ensemble"]))
-    out_dir = str(values.get("dir", _DEFAULTS["dir"]))
-    threads = int(values.get("threads", 1))
-
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if paths < 1 or ensemble < 1:
-        raise ConfigError("paths and ensemble must be positive")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    if not (1.0 <= p < q):
-        raise ConfigError(f"need 1 <= p < q, got p={p}, q={q}")
-    cfg = ExperimentConfig(
-        tag=tag,
-        problem_params=problem_params,
-        dt=dt,
-        horizon=horizon,
-        paths=paths,
-        seed=seed,
-        r_guard=r_guard,
-        p=p,
-        q=q,
-        gamma0=gamma0,
-        t0=t0,
-        ensemble=ensemble,
-        out_dir=out_dir,
-        threads=threads,
-    )
-    cfg.r  # validates r >= 2
+            values[key] = cast(raw[key]) if key in raw else default
+        except ValueError as exc:
+            raise ConfigError(f"bad value {raw[key]!r} for {key}: {exc}") from None
+    h = values.pop("h")
+    if h is not None and values["tag"] != "ROT2D":
+        raise ConfigError("parameter 'h' applies to ROT2D only")
+    cfg = ExperimentConfig(problem_params={} if h is None else {"h": h}, out_dir=values.pop("dir"), **values)
+    cfg.r  # validates 1 <= p < q and r >= 2
     if not isinstance(cfg.t0, str):
-        problem = make_problem(tag, **problem_params)
-        cfg.policy_for(problem)  # validates t0 <= t_star
+        cfg.policy_for(_build_problem(cfg))  # validates t0 <= t_star
     return cfg
 
 
@@ -254,10 +218,9 @@ def resolve_t0(
     For "auto", take the battery-wide minimiser from `balanced_horizon` over
     the battery's norm profiles; a fixed t0 reads no profile.
     """
-    gamma0 = config.gamma0 if config.gamma0 is not None else problem.gamma0_default
-    t_star = gamma0 / config.r
     if not isinstance(config.t0, str):
         return float(config.t0)
+    t_star = config.gamma0_for(problem) / config.r
     t0 = balanced_horizon(
         [prof.gen_lq.value for prof in profiles], [prof.f_lq.value for prof in profiles], t_star
     )
@@ -522,6 +485,8 @@ def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
         traj = simulate_path(
             model, ctx.ensemble.points[k], 2.0 * policy.t0, dt_flow, noise, r_guard=config.r_guard
         )
+        if traj.exited:  # the control needs the whole path
+            raise IntegrationError(f"a path left the radius guard at step {traj.exit_step}", step=traj.exit_step)
         jac = drift_jacobian_path(model, traj)
         c = fundamental_matrix(jac)
         control = build_control(c, policy)

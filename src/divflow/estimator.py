@@ -156,36 +156,37 @@ def _component_stats(samples: Array, alive: Array) -> tuple[Array, Array, int]:
     return mean, se, n
 
 
-def frechet_from_summary(f: TestFunction, summary: PathSummary) -> GradientEstimate:
-    """Pathwise route evaluated on an existing kernel pass."""
-    samples = np.einsum("bi,bij->bj", f.grad(summary.states), summary.frechet)
+def _estimate(samples: Array, summary: PathSummary, route: str) -> GradientEstimate:
     mean, se, _ = _component_stats(samples, summary.alive)
     return GradientEstimate(
         estimate=mean,
         std_error=se,
         n_paths=summary.n_paths,
-        route="frechet",
+        route=route,
         horizon=summary.t_end,
         x=summary.x,
         exited_fraction=summary.exited_fraction,
     )
+
+
+def _frechet_samples(f: TestFunction, summary: PathSummary) -> Array:
+    return np.einsum("bi,bij->bj", f.grad(summary.states), summary.frechet)
+
+
+def _malliavin_samples(f: TestFunction, summary: PathSummary) -> Array:
+    if summary.ito is None:
+        raise ConfigError("summary was computed without a control")
+    return f.value(summary.states)[:, None] * summary.ito
+
+
+def frechet_from_summary(f: TestFunction, summary: PathSummary) -> GradientEstimate:
+    """Pathwise route evaluated on an existing kernel pass."""
+    return _estimate(_frechet_samples(f, summary), summary, "frechet")
 
 
 def malliavin_from_summary(f: TestFunction, summary: PathSummary) -> GradientEstimate:
     """Integration-by-parts route evaluated on an existing kernel pass."""
-    if summary.ito is None:
-        raise ConfigError("summary was computed without a control")
-    samples = f.value(summary.states)[:, None] * summary.ito
-    mean, se, _ = _component_stats(samples, summary.alive)
-    return GradientEstimate(
-        estimate=mean,
-        std_error=se,
-        n_paths=summary.n_paths,
-        route="malliavin",
-        horizon=summary.t_end,
-        x=summary.x,
-        exited_fraction=summary.exited_fraction,
-    )
+    return _estimate(_malliavin_samples(f, summary), summary, "malliavin")
 
 
 def grad_malliavin(
@@ -230,11 +231,12 @@ class IbpReport:
 
 def ibp_from_summary(f: TestFunction, summary: PathSummary) -> IbpReport:
     """Both routes and their per-path residual from one kernel pass."""
-    fre = frechet_from_summary(f, summary)
-    mal = malliavin_from_summary(f, summary)
-    per_path = (
-        np.einsum("bi,bij->bj", f.grad(summary.states), summary.frechet)
-        - f.value(summary.states)[:, None] * summary.ito
+    fre = _frechet_samples(f, summary)
+    mal = _malliavin_samples(f, summary)
+    res_mean, res_se, _ = _component_stats(fre - mal, summary.alive)
+    return IbpReport(
+        frechet=_estimate(fre, summary, "frechet"),
+        malliavin=_estimate(mal, summary, "malliavin"),
+        residual=res_mean,
+        residual_se=res_se,
     )
-    res_mean, res_se, _ = _component_stats(per_path, summary.alive)
-    return IbpReport(frechet=fre, malliavin=mal, residual=res_mean, residual_se=res_se)

@@ -66,9 +66,9 @@ def r_exponent(p: float, q: float) -> float:
     if not (1.0 <= p < q):
         raise ConfigError(f"need 1 <= p < q, got p={p}, q={q}")
     r = p * q / (q - p)
-    if r < 2.0 - 1.0e-12:
+    if not r >= 2.0 - 1.0e-12:  # also rejects q = inf, where r is nan
         raise ConfigError(
-            f"(p, q)=({p}, {q}) gives r={r:g} < 2, outside the supported range"
+            f"(p, q)=({p}, {q}) gives r={r:g}, outside the supported range r >= 2"
         )
     return r
 

@@ -22,9 +22,6 @@ from .model import CoefficientModel, TestProblem
 
 Array = np.ndarray
 
-DEFAULT_DT = 1.0e-3
-DEFAULT_R_GUARD = engine.DEFAULT_R_GUARD
-
 # Metropolis-adjusted Langevin defaults (time units, not steps).
 MALA_BURN_IN = 1.0e3
 MALA_THIN = 1.0
@@ -124,7 +121,7 @@ def simulate_path(
     horizon: float,
     dt: float,
     noise: WienerGrid,
-    r_guard: float = DEFAULT_R_GUARD,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> Trajectory:
     """Integrate one path to the horizon, stopping early at the radius guard."""
     if dt <= 0:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,25 @@ from divflow.cli import (
 )
 
 
+SECTION_OF = {
+    "tag": "problem",
+    "h": "problem",
+    "dt": "simulation",
+    "horizon": "simulation",
+    "paths": "simulation",
+    "seed": "simulation",
+    "r_guard": "simulation",
+    "p": "inequality",
+    "q": "inequality",
+    "gamma0": "inequality",
+    "t0": "inequality",
+    "ensemble": "inequality",
+    "dir": "output",
+}
+
+
 def write_config(path: Path, **overrides) -> Path:
+    """An INI file with these keys, each in its section."""
     values = {
         "tag": "OU1D",
         "dt": "0.001",
@@ -34,26 +53,11 @@ def write_config(path: Path, **overrides) -> Path:
         "ensemble": "4000",
         "dir": str(path.parent / "out"),
     }
-    values.update({k: str(v) for k, v in overrides.items()})
-    text = f"""[problem]
-tag = {values['tag']}
-
-[simulation]
-dt = {values['dt']}
-horizon = {values['horizon']}
-paths = {values['paths']}
-seed = {values['seed']}
-
-[inequality]
-p = {values['p']}
-q = {values['q']}
-t0 = {values['t0']}
-ensemble = {values['ensemble']}
-
-[output]
-dir = {values['dir']}
-"""
-    path.write_text(text)
+    values.update(overrides)
+    sections: dict = {}
+    for key, value in values.items():
+        sections.setdefault(SECTION_OF[key], []).append(f"{key} = {value}")
+    path.write_text("\n".join(f"[{name}]\n" + "".join(line + "\n" for line in lines) for name, lines in sections.items()))
     return path
 
 
@@ -111,6 +115,48 @@ def test_parse_config_rejects_low_r(tmp_path):
     cfg_path = write_config(tmp_path / "a.ini", p="1.0", q="3.0")
     with pytest.raises(dv.ConfigError):
         parse_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", "nan"),
+        ("horizon", "nan"),
+        ("horizon", "inf"),
+        ("r_guard", "0"),
+        ("r_guard", "-1"),
+        ("r_guard", "nan"),
+        ("gamma0", "0"),
+        ("gamma0", "-1"),
+        ("gamma0", "nan"),
+        ("seed", "-5"),
+        ("h", "nan"),
+        ("paths", "0"),
+    ],
+)
+def test_parse_config_rejects_out_of_range_values(tmp_path, key, value):
+    cfg_path = write_config(tmp_path / "a.ini", tag="ROT2D", **{key: value})
+    with pytest.raises(dv.ConfigError, match=f"bad value '{value}' for {key}"):
+        parse_config(cfg_path)
+
+
+def test_infinite_guard_radius_means_no_guard(tmp_path):
+    cfg_path = write_config(tmp_path / "a.ini", paths=2, r_guard="inf")
+    assert parse_config(cfg_path).r_guard == math.inf
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        (["simulate", "--seed", "-5"], {}),
+        (["gradient", "--function", "bump0_w1", "--x", "0.3"], {"gamma0": 0, "ensemble": 2000}),  # t0 = auto
+    ],
+)
+def test_out_of_range_value_exits_config(tmp_path, capsys, command, overrides):
+    cfg_path = write_config(tmp_path / "a.ini", paths=5, **overrides)
+    assert main(command[:1] + ["--config", str(cfg_path)] + command[1:]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -314,6 +360,14 @@ def test_verify_context_computes_each_battery_norm_once(tmp_path, monkeypatch):
     assert [res.name for res in results] == [check.__name__[1:] for check in checks]
     assert len(ctx.battery) == 12
     assert calls == {"norm_profile": 12, "apply_generator": 12, "exp_integrability": 1, "fundamental_matrix": 3}
+
+
+@pytest.mark.parametrize("radius", [0.01, 0.5])
+def test_control_discrepancy_stops_at_a_guard_exit(tmp_path, radius):
+    """The control needs the whole path, so a guard exit is an integration error, not a short grid."""
+    ctx = cli._verify_context(parse_config(verify_config(tmp_path, ensemble=2000, t0=0.5, r_guard=radius)))
+    with pytest.raises(dv.IntegrationError):
+        cli._control_discrepancy(ctx)
 
 
 def test_coefficients_check_fails_on_a_wrong_h_declaration():

@@ -1,6 +1,7 @@
 """Gradient estimators: Ito integrals, both routes and the identity check."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,28 @@ def test_ibp_identity_dw1d(dw1d):
     summary = dv.flow_summary(dw1d.model, [0.0], policy.t0, 1e-3, 100_000, seed=23, t0=policy.t0)
     rep = dv.ibp_from_summary(dv.bump([0.0], 1.0), summary)
     assert rep.passed
+
+
+def test_ibp_from_summary_evaluates_f_once_per_route(ou1d):
+    """One value and one gradient call serve both routes and the residual."""
+    summary = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-2, 200, seed=25, t0=0.5)
+    f = dv.battery_for(ou1d)[0]
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(f, name)(x)
+
+        return call
+
+    rep = dv.ibp_from_summary(dataclasses.replace(f, value=counted("value"), grad=counted("grad")), summary)
+    assert calls == {"value": 1, "grad": 1}
+    for route, est in (("frechet", rep.frechet), ("malliavin", rep.malliavin)):
+        alone = getattr(dv, f"{route}_from_summary")(f, summary)
+        assert est.route == route
+        assert_allclose(est.estimate, alone.estimate, rtol=0, atol=0)
+        assert_allclose(est.std_error, alone.std_error, rtol=0, atol=0)
 
 
 def test_ibp_identity_fails_with_negated_control(ou1d):

@@ -111,6 +111,8 @@ def test_r_exponent_pairs():
         dv.r_exponent(0.5, 2.0)  # p below one
     with pytest.raises(dv.ConfigError):
         dv.r_exponent(1.0, 3.0)  # r = 3/2 outside the supported range
+    with pytest.raises(dv.ConfigError):
+        dv.r_exponent(2.0, math.inf)  # r = inf/inf is nan
 
 
 
