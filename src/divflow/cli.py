@@ -312,9 +312,14 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     _write_lines(out / "exit_stats.csv", stats)
     if failures:
         i, step = failures[0]
+        cause = (
+            f"its start lies outside r_guard = {_fmt(config.r_guard)}"
+            if step == 0
+            else "dt likely too large"
+        )
         print(
             f"error: {len(failures)} path(s) hit the radius guard "
-            f"(first: path {i} at step {step}); dt likely too large",
+            f"(first: path {i} at step {step}); {cause}",
             file=sys.stderr,
         )
         return EXIT_RUNTIME

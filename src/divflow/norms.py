@@ -551,11 +551,14 @@ def moment_bound_check(
     frozen = {r: np.full(n, np.nan) for r in radii}
     stopped = {r: np.zeros(n, dtype=bool) for r in radii}
     final = np.empty((n, d))
+    r_min = radii[0] if radii else math.inf
     for off, size in engine.batch_sizes(n, max(n_steps, 1), d):
         part = slice(off, off + size)
         inc = engine.increments_block(seed, off, size, n_steps, dt, d)
         for _, x, _ in engine.require_alive(engine.sweep(model, starts[part], dt, inc)):
             nrm = np.linalg.norm(x, axis=-1)
+            if not (nrm >= r_min).any():  # no path reaches even the smallest radius
+                continue
             for r in radii:
                 hit = ~stopped[r][part] & (nrm >= r)
                 stopped[r][part] |= hit

@@ -203,6 +203,15 @@ def test_simulate_unstable_step_exits_runtime(tmp_path, capsys):
     assert "step" in err
 
 
+def test_simulate_start_outside_guard_names_the_radius(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "sim.ini", paths=2, r_guard="0.01")
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "at step 0" in err
+    assert "r_guard = 0.01" in err
+    assert "dt" not in err
+
+
 # ---------------------------------------------------------------------------
 # gradient
 # ---------------------------------------------------------------------------

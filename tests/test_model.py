@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,23 @@ def test_total_drift_examples(ou1d, rot2d, dw1d):
     assert_allclose(dv.total_drift(ou1d.model, [1.0]), [-0.5])
     assert_allclose(dv.total_drift(rot2d.model, [1.0, 2.0]), [0.5, -1.5])
     assert_allclose(dv.total_drift(dw1d.model, [1.0]), [0.0], atol=1e-14)
+
+
+def test_dw1d_derivatives_match_exact_arithmetic(dw1d):
+    """U' = 4x^3 - 4x and U'' = 12x^2 - 4 against rational evaluation.
+
+    The error is measured in ulp of the sum of the terms' magnitudes, which
+    bounds a few roundings of any order of evaluation, also where the terms
+    cancel (x = +-1).
+    """
+    special = [0.0, 1.0, -1.0, 3.0, -3.0, 50.0, -50.0, 1.0e-3, 0.5, 1.0 + 2.0**-30]
+    grid = np.concatenate([special, random_points(1, 200, 9)[:, 0]])
+    grad = dw1d.model.grad_potential(grid[:, None])[:, 0]
+    hess = dw1d.model.hess_potential(grid[:, None])[:, 0, 0]
+    for x, g, h in zip(grid.tolist(), grad.tolist(), hess.tolist()):
+        q, a = Fraction(x), abs(x)
+        assert abs(Fraction(g) - (4 * q**3 - 4 * q)) <= 4 * math.ulp(4 * a**3 + 4 * a), x
+        assert abs(Fraction(h) - (12 * q**2 - 4)) <= 4 * math.ulp(12 * a * a + 4), x
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 import divflow as dv
+from divflow import engine
+from divflow.norms import MomentRadiusRow
 
 
 OU_POLICY = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=4.0)
@@ -291,6 +293,58 @@ def test_moment_bound_dw_margin(dw1d, dw_ensemble):
     rep = dv.moment_bound_check(dw1d.model, cfg, dw_ensemble, n_paths=3000, dt=1e-3, seed=45)
     assert rep.passed
     assert all(row.moment < rep.bound for row in rep.rows)
+
+
+def reference_moment_rows(model, cfg, ensemble, n_paths, dt, seed, bound):
+    """moment_bound_check's rows from stored Euler paths and plain-Python stopping."""
+    starts = ensemble.points[:n_paths]
+    n_steps = engine.steps_for(cfg.horizon, dt)
+    inc = engine.increments_block(seed, 0, n_paths, n_steps, dt, model.dim)
+    states, exit_step = engine.euler_sweep(model, starts, dt, inc)
+    assert (exit_step < 0).all()
+    radii = sorted(cfg.radii)
+    stop_state = {r: [] for r in radii}  # the state at the first hit of r, else the final one
+    exits = {r: 0 for r in radii}
+    for path in states.tolist():
+        for r in radii:
+            hit = next((x for x in path if math.hypot(*x) >= r), None)
+            exits[r] += hit is not None
+            stop_state[r].append(path[-1] if hit is None else hit)
+    rows = []
+    for r in radii:
+        x = np.array(stop_state[r])
+        vals = (np.sum(x * x, axis=-1) + 1.0) ** cfg.rho
+        rows.append(
+            MomentRadiusRow(
+                radius=r,
+                moment=float(np.mean(vals)),
+                moment_se=float(np.std(vals, ddof=1) / math.sqrt(n_paths)),
+                exit_probability=exits[r] / n_paths,
+                envelope=bound / r ** (2.0 * cfg.rho),
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "tag, radii, horizon, n_paths, some_exit",
+    [
+        ("OU1D", (1.0, 0.5, 2.0), 1.0, 400, True),
+        # Few paths far out: steps where no path reaches 2 alternate with hits.
+        ("OU1D", (2.0, 2.5, 3.0), 2.0, 20, True),
+        ("DW1D", (3.0, 5.0, 8.0), 2.0, 400, False),
+    ],
+)
+def test_moment_bound_rows_equal_a_plain_reference(
+    tag, radii, horizon, n_paths, some_exit, all_problems, ensembles
+):
+    model = next(pb.model for pb in all_problems if pb.tag == tag)
+    cfg = dv.MomentTestConfig(rho=0.4, radii=radii, horizon=horizon)
+    dt, seed = 1.0e-2, 47
+    rep = dv.moment_bound_check(model, cfg, ensembles[tag], n_paths=n_paths, dt=dt, seed=seed)
+    expected = reference_moment_rows(model, cfg, ensembles[tag], n_paths, dt, seed, rep.bound)
+    assert rep.rows == expected
+    assert any(row.exit_probability > 0 for row in rep.rows) == some_exit
 
 
 def test_moment_config_validation():
