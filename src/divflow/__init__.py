@@ -36,7 +36,6 @@ from .estimator import (
 )
 from .functions import (
     TestFunction,
-    battery,
     battery_for,
     bump,
     constant,

@@ -187,6 +187,10 @@ def parse_config(path: str | Path, overrides: Optional[dict] = None) -> Experime
     cfg = ExperimentConfig(problem_params={} if h is None else {"h": h}, out_dir=values.pop("dir"), **values)
     cfg.r  # validates 1 <= p < q and r >= 2
     if not isinstance(cfg.t0, str):
+        try:
+            engine.steps_for(cfg.t0, cfg.dt)  # t0 lies on the simulation grid
+        except ConfigError as exc:
+            raise ConfigError(f"bad value {raw['t0']!r} for t0: {exc}") from None
         cfg.policy_for(_build_problem(cfg))  # validates t0 <= t_star
     return cfg
 
@@ -195,17 +199,11 @@ def _build_problem(config: ExperimentConfig) -> TestProblem:
     return make_problem(config.tag, **config.problem_params)
 
 
-def _build_ensemble(problem: TestProblem, count: int, seed: int) -> StationaryEnsemble:
-    """Exact stationary draws where the problem has a sampler, else MALA chains."""
-    method = "exact" if problem.stationary_sampler is not None else "langevin"
-    return sample_stationary(problem, count, method=method, seed=seed)
-
-
 def _battery_profiles(
     config: ExperimentConfig, problem: TestProblem, battery: Sequence[TestFunction]
 ) -> tuple[StationaryEnsemble, list[NormProfile]]:
     """The invariant-law ensemble and the norms of every battery function on it."""
-    ensemble = _build_ensemble(problem, config.ensemble, config.seed + _SEED_TAGS["ensemble"])
+    ensemble = sample_stationary(problem, config.ensemble, config.seed + _SEED_TAGS["ensemble"])
     profiles = [norm_profile(problem.model, f, ensemble, config.p, config.q) for f in battery]
     return ensemble, profiles
 
@@ -285,7 +283,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     out = Path(config.out_dir)
     n = engine.steps_for(config.horizon, config.dt)
 
-    ensemble = _build_ensemble(problem, config.paths, config.seed + _SEED_TAGS["simulate"])
+    ensemble = sample_stationary(problem, config.paths, config.seed + _SEED_TAGS["simulate"])
     coord_cols = [f"x_{j + 1}" for j in range(d)]
     failures: list[tuple[int, int]] = []
     stats_rows = []
@@ -363,7 +361,6 @@ def cmd_gradient(
         config.dt,
         config.paths,
         seed=config.seed + _SEED_TAGS["gradient"],
-        t0=policy.t0,
         negate_control=negate_control,
         r_guard=config.r_guard,
         threads=config.threads,
@@ -433,9 +430,7 @@ def _mu_mean_1d(problem: TestProblem, f: TestFunction) -> float:
 
     model = problem.model
     dens = lambda s: math.exp(-float(model.potential(np.array([s]))))
-    z = model.normalizer
-    if z is None:
-        z, _ = quad(dens, -12.0, 12.0)
+    z, _ = quad(dens, -12.0, 12.0)
     num, _ = quad(lambda s: float(f.value(np.array([s]))) * dens(s), -12.0, 12.0)
     return num / z
 
@@ -480,7 +475,7 @@ def _stationarity(ctx: VerifyContext) -> CheckResult:
 def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
     """The discrepancy T vanishes after the horizon, and its two routes agree."""
     config, model, policy = ctx.config, ctx.model, ctx.policy
-    dt_flow = 5.0e-4
+    dt_flow = config.dt / math.ceil(config.dt / 5.0e-4)  # <= 5e-4 and divides dt, so 2 t0 is on its grid
     route_tol = 1.0e-6 if config.tag in ("OU1D", "ROT2D") else 1.0e-4
     theta_max = 0.0
     mismatch_max = 0.0
@@ -548,7 +543,6 @@ def _ibp_identity(ctx: VerifyContext) -> CheckResult:
         config.dt,
         min(config.paths, 20000),
         seed=config.seed + _SEED_TAGS["gradient"],
-        t0=policy.t0,
         negate_control=ctx.negate_control,
         r_guard=config.r_guard,
         threads=config.threads,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,7 +80,7 @@ class PathSummary:
     seed: int
     states: Array  # (N, d) terminal states
     frechet: Array  # (N, d, d) pathwise derivative at t_end
-    ito: Optional[Array]  # (N, d) control Ito integrals, None without control
+    ito: Array  # (N, d) control Ito integrals
     alive: Array  # (N,) guard mask
 
     @property
@@ -100,17 +99,15 @@ def flow_summary(
     dt: float,
     n_paths: int,
     seed: int = 0,
-    t0: Optional[float] = None,
     negate_control: bool = False,
     r_guard: float = engine.DEFAULT_R_GUARD,
     threads: int = 1,
-    path_offset: int = 0,
 ) -> PathSummary:
     """Run the fused kernel: state, propagator and Ito accumulator together.
 
-    When t0 is given, the control C(., 0)/t0 is accumulated against the
-    increments up to the horizon (left endpoints), matching the single-path
-    construction in the control module step for step.
+    The control C(., 0)/t_end on [0, t_end) is accumulated against the
+    increments (left endpoints), matching the single-path construction in
+    the control module step for step.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.dim,):
@@ -118,20 +115,17 @@ def flow_summary(
     if n_paths < 1:
         raise ConfigError(f"n_paths must be positive, got {n_paths}")
     n = engine.steps_for(t_end, dt)
-    n0 = engine.steps_for(t0, dt) if t0 is not None else None
-    if n0 is not None and n0 > n:
-        raise ConfigError(f"control horizon {t0} exceeds the terminal time {t_end}")
     d = model.dim
     sign = -1.0 if negate_control else 1.0
 
     def worker(spec):
         off, size = spec
-        inc = engine.increments_block(seed, path_offset + off, size, n, dt, d)
+        inc = engine.increments_block(seed, off, size, n, dt, d)
         x0 = np.broadcast_to(x, (size, d))
-        ito = np.zeros((size, d)) if n0 is not None else None
+        ito = np.zeros((size, d))
         for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
-            if ito is not None and k < n0:
-                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (sign / t0)
+            if k < n:
+                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (sign / t_end)
                 ito = np.where(alive[:, None], ito + contrib, ito)
         return xs, c, ito, alive
 
@@ -139,7 +133,7 @@ def flow_summary(
     parts = engine.map_batches(worker, specs, threads)
     states = np.concatenate([p[0] for p in parts], axis=0)
     frechet = np.concatenate([p[1] for p in parts], axis=0)
-    ito = np.concatenate([p[2] for p in parts], axis=0) if n0 is not None else None
+    ito = np.concatenate([p[2] for p in parts], axis=0)
     alive = np.concatenate([p[3] for p in parts], axis=0)
     return PathSummary(
         x=x, t_end=t_end, dt=dt, seed=seed, states=states, frechet=frechet, ito=ito, alive=alive
@@ -174,8 +168,6 @@ def _frechet_samples(f: TestFunction, summary: PathSummary) -> Array:
 
 
 def _malliavin_samples(f: TestFunction, summary: PathSummary) -> Array:
-    if summary.ito is None:
-        raise ConfigError("summary was computed without a control")
     return f.value(summary.states)[:, None] * summary.ito
 
 
@@ -208,7 +200,6 @@ def grad_malliavin(
         dt,
         n_paths,
         seed=seed,
-        t0=policy.t0,
         negate_control=negate_control,
         threads=threads,
     )

@@ -188,32 +188,28 @@ _DW_CENTERS = [(0.0,), (1.0,), (-1.0,)]
 _BATTERY_WIDTHS = (1.0, 2.0)
 
 
-def battery(dim: int, tag: str = "", widths: Sequence[float] = _BATTERY_WIDTHS) -> list[TestFunction]:
-    """Standard 12-function battery: 6 bumps and 6 coordinate products.
+def battery_for(problem) -> list[TestFunction]:
+    """Standard 12-function battery for a TestProblem: 6 bumps and 6 coordinate products.
 
     Centres are placed in the bulk of the invariant law; the double-well
     problem gets centres at the origin and both wells.
     """
-    if tag.upper() == "DW1D":
+    dim = problem.dim
+    if problem.tag.upper() == "DW1D":
         centers = _DW_CENTERS
     elif dim in _BATTERY_CENTERS:
         centers = _BATTERY_CENTERS[dim]
     else:
         centers = [tuple(np.zeros(dim)), tuple(0.8 * np.eye(dim)[0]), tuple(-0.8 * np.eye(dim)[0])]
     out: list[TestFunction] = []
-    for width in widths:
+    for width in _BATTERY_WIDTHS:
         for ci, c in enumerate(centers):
             out.append(bump(c, width, name=f"bump{ci}_w{width:g}"))
-    for wi, width in enumerate(widths):
+    for wi, width in enumerate(_BATTERY_WIDTHS):
         for ci, c in enumerate(centers):
             axis = (ci + wi) % dim
             out.append(coordinate_bump(c, width, axis, name=f"xbump{ci}_w{width:g}_a{axis}"))
     return out
-
-
-def battery_for(problem) -> list[TestFunction]:
-    """Battery matched to a TestProblem."""
-    return battery(problem.dim, tag=problem.tag)
 
 
 def by_name(functions: Sequence[TestFunction], name: str) -> TestFunction:

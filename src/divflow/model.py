@@ -22,8 +22,7 @@ points of shape (..., d).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +34,8 @@ Array = np.ndarray
 # Step scale for finite-difference Jacobians of the drift (used when a model
 # carries no analytic jac_drift routine).
 FD_DRIFT_STEP = 1.0e-5
+# Absolute step of consistency_report's central differences of H.
+FD_ANTISYM_STEP = 1.0e-5
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class CoefficientModel:
     evaluated on a sweep, while consistency_report still tests grad_antisym
     against finite differences of the zero H.  jac_drift, when
     present, returns the Jacobian of b with entries [..., j, j'] = d b_j / d x_j';
-    otherwise it is approximated by central differences of the drift with
-    step FD_DRIFT_STEP * (1 + |x|).
+    otherwise it is zero when antisym is None (b = 0), and approximated by
+    central differences of the drift with step FD_DRIFT_STEP * (1 + |x|)
+    when H is given.
     """
 
     dim: int
@@ -58,7 +60,6 @@ class CoefficientModel:
     antisym: Optional[Callable[[Array], Array]]
     grad_antisym: Callable[[Array], Array]
     jac_drift: Optional[Callable[[Array], Array]] = None
-    normalizer: Optional[float] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -77,7 +78,6 @@ class TestProblem:
 
     tag: str
     model: CoefficientModel
-    params: dict = field(default_factory=dict)
     stationary_sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
     # Default exponential-integrability parameter; any value is admissible
     # for the built-ins, chosen so that unit control horizons stay feasible
@@ -139,9 +139,11 @@ def antisym_field(model: CoefficientModel, x: Array) -> Array:
 
 
 def jac_drift(model: CoefficientModel, x: Array) -> Array:
-    """Jacobian of b: analytic when the model carries it, else central FD."""
+    """Jacobian of b: analytic when the model carries it, zero when H = 0, else central FD."""
     if model.jac_drift is not None:
         return np.asarray(model.jac_drift(np.asarray(x, dtype=float)), dtype=float)
+    if model.antisym is None:
+        return np.zeros(np.shape(x)[:-1] + (model.dim, model.dim))
     return _fd_jac_drift(model, x)
 
 
@@ -184,9 +186,7 @@ def apply_generator(model: CoefficientModel, f, x: Array) -> Array:
     return apply_L(model, f, x) + apply_A(model, f, x)
 
 
-def consistency_report(
-    model: CoefficientModel, points: Array, fd_step: float = 1.0e-5
-) -> dict:
+def consistency_report(model: CoefficientModel, points: Array) -> dict:
     """Max deviations of the structural coefficient identities on a point set.
 
     Returns entrywise maxima of |H + H^T|, |hess U - (hess U)^T| and the
@@ -201,9 +201,9 @@ def consistency_report(
     fd_dev = 0.0
     for k in range(d):
         shift = np.zeros(d)
-        shift[k] = fd_step
+        shift[k] = FD_ANTISYM_STEP
         fd = (antisym_field(model, points + shift) - antisym_field(model, points - shift)) / (
-            2.0 * fd_step
+            2.0 * FD_ANTISYM_STEP
         )
         fd_dev = max(fd_dev, float(np.max(np.abs(fd - model.grad_antisym(points)[..., k, :, :]))))
     return {
@@ -216,14 +216,6 @@ def consistency_report(
 # ---------------------------------------------------------------------------
 # Built-in benchmark problems
 # ---------------------------------------------------------------------------
-
-
-def _zeros_matrix(d: int):
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (d, d))
-
-    return fn
 
 
 def _zeros_tensor(d: int):
@@ -250,8 +242,6 @@ def make_ou1d() -> TestProblem:
         hess_potential=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)),
         antisym=None,
         grad_antisym=_zeros_tensor(1),
-        jac_drift=_zeros_matrix(1),
-        normalizer=math.sqrt(2.0 * math.pi),
         name="OU1D",
     )
     return TestProblem(
@@ -282,13 +272,11 @@ def make_rot2d(h: float = 1.0) -> TestProblem:
         antisym=antisym,
         grad_antisym=_zeros_tensor(2),
         jac_drift=antisym,  # b = -H^T x = H x, so the Jacobian of b is H
-        normalizer=2.0 * math.pi,
         name="ROT2D",
     )
     return TestProblem(
         tag="ROT2D",
         model=model,
-        params={"h": h},
         stationary_sampler=_gaussian_sampler(2),
         gamma0_default=8.0,
     )
@@ -330,7 +318,6 @@ def make_varh2d() -> TestProblem:
         antisym=antisym,
         grad_antisym=grad_antisym,
         jac_drift=jac,
-        normalizer=2.0 * math.pi,
         name="VARH2D",
     )
     return TestProblem(
@@ -360,8 +347,6 @@ def make_dw1d() -> TestProblem:
         hess_potential=hess,
         antisym=None,
         grad_antisym=_zeros_tensor(1),
-        jac_drift=_zeros_matrix(1),
-        normalizer=None,
         name="DW1D",
     )
     return TestProblem(tag="DW1D", model=model, gamma0_default=1.0)

@@ -22,7 +22,7 @@ from .model import CoefficientModel, TestProblem
 
 Array = np.ndarray
 
-# Metropolis-adjusted Langevin defaults (time units, not steps).
+# Metropolis-adjusted Langevin settings (times in time units, not steps).
 MALA_BURN_IN = 1.0e3
 MALA_THIN = 1.0
 MALA_STEP = 0.1
@@ -35,8 +35,6 @@ class WienerGrid:
 
     dt: float
     increments: Array  # (count, dim)
-    master_seed: Optional[int] = None
-    path_index: Optional[int] = None
 
     @property
     def count(self) -> int:
@@ -51,7 +49,7 @@ class WienerGrid:
         cls, master_seed: int, path_index: int, count: int, dt: float, dim: int
     ) -> "WienerGrid":
         inc = engine.normal_increments(master_seed, path_index, count, dt, dim)
-        return cls(dt=dt, increments=inc, master_seed=master_seed, path_index=path_index)
+        return cls(dt=dt, increments=inc)
 
     @classmethod
     def zeros(cls, count: int, dt: float, dim: int) -> "WienerGrid":
@@ -156,13 +154,7 @@ def simulate_path(
 
 
 def _mala_chain_sample(
-    model: CoefficientModel,
-    count: int,
-    burn_in: float,
-    thin: float,
-    step: float,
-    chains: int,
-    rng: np.random.Generator,
+    model: CoefficientModel, count: int, step: float, rng: np.random.Generator
 ) -> tuple[Array, float, int]:
     """Vectorised Metropolis-adjusted Langevin on the reversible part.
 
@@ -171,7 +163,7 @@ def _mala_chain_sample(
     draws (count, d), the overall acceptance rate and the chain count.
     """
     d = model.dim
-    m = max(1, min(chains, count))
+    m = min(MALA_CHAINS, count)
     # Start inside the bulk: far tail starts can freeze the chain when the
     # potential grows steeply (every proposal overshoots and is rejected).
     x = 0.8 * rng.standard_normal((m, d))
@@ -199,8 +191,8 @@ def _mala_chain_sample(
             accepted += int(np.count_nonzero(accept))
             proposed += m
 
-    advance(max(1, int(round(burn_in / step))))
-    thin_steps = max(1, int(round(thin / step)))
+    advance(max(1, int(round(MALA_BURN_IN / step))))
+    thin_steps = max(1, int(round(MALA_THIN / step)))
     rounds = (count + m - 1) // m
     draws = np.empty((rounds, m, d))
     for r in range(rounds):
@@ -211,46 +203,28 @@ def _mala_chain_sample(
 
 
 def sample_stationary(
-    problem: TestProblem,
-    count: int,
-    method: str = "exact",
-    burn_in: float = MALA_BURN_IN,
-    thin: float = MALA_THIN,
-    step: float = MALA_STEP,
-    chains: int = MALA_CHAINS,
-    seed: int = 0,
+    problem: TestProblem, count: int, seed: int = 0, step: float = MALA_STEP
 ) -> StationaryEnsemble:
     """Draw an ensemble from the invariant law exp(-U)/Z.
 
-    method="exact" requires the problem to carry a closed-form sampler;
-    method="langevin" runs the Metropolis-adjusted chain on the reversible
-    part (dropping b, for which the law is equally invariant), so no
-    correction beyond the accept/reject step is needed.
+    A problem with a closed-form sampler is sampled exactly.  Otherwise the
+    Metropolis-adjusted chain runs on the reversible part (dropping b, for
+    which the law is equally invariant), so no correction beyond the
+    accept/reject step is needed; `step` is its proposal time step.
     """
     if count < 1:
         raise ConfigError(f"ensemble size must be positive, got {count}")
     # Tag keeps the ensemble stream disjoint from per-path noise streams.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xE25E3B1E)))
-    if method == "exact":
-        if problem.stationary_sampler is None:
-            raise ConfigError(
-                f"problem {problem.tag} carries no exact stationary sampler; "
-                "use method='langevin'"
-            )
+    if problem.stationary_sampler is not None:
         points = problem.stationary_sampler(rng, count)
         return StationaryEnsemble(
             points=points, provenance="exact", diagnostics={"seed": int(seed)}
         )
-    if method != "langevin":
-        raise ConfigError(f"unknown sampling method {method!r}")
-    points, rate, m = _mala_chain_sample(
-        problem.model, count, burn_in, thin, step, chains, rng
-    )
+    points, rate, m = _mala_chain_sample(problem.model, count, step, rng)
     diagnostics = {
         "seed": int(seed),
         "acceptance_rate": rate,
-        "burn_in": burn_in,
-        "thin": thin,
         "step": step,
         "low_acceptance": rate < 0.10,
     }

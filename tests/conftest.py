@@ -35,9 +35,7 @@ def all_problems(ou1d, rot2d, varh2d, dw1d):
 
 
 def _ensemble(problem, count=100_000):
-    if problem.stationary_sampler is not None:
-        return dv.sample_stationary(problem, count, method="exact", seed=ENSEMBLE_SEED)
-    return dv.sample_stationary(problem, count, method="langevin", seed=ENSEMBLE_SEED)
+    return dv.sample_stationary(problem, count, seed=ENSEMBLE_SEED)
 
 
 @pytest.fixture(scope="session")

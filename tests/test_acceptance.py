@@ -47,9 +47,7 @@ def test_criterion_01_route_agreement(all_problems):
         problem = problem_by(all_problems, tag)
         x, t0, gamma0 = PLANS[tag]
         policy = dv.HorizonPolicy(t0=t0, gamma0=gamma0, r=2.0)
-        summary = dv.flow_summary(
-            problem.model, x, t0, 1e-3, 100_000, seed=SEED + 1, t0=t0
-        )
+        summary = dv.flow_summary(problem.model, x, t0, 1e-3, 100_000, seed=SEED + 1)
         for f in dv.battery_for(problem):
             rep = dv.ibp_from_summary(f, summary)
             ok &= rep.passed

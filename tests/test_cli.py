@@ -132,6 +132,7 @@ def test_parse_config_rejects_low_r(tmp_path):
         ("seed", "-5"),
         ("h", "nan"),
         ("paths", "0"),
+        ("t0", "0.5005"),  # off the dt = 0.001 grid
     ],
 )
 def test_parse_config_rejects_out_of_range_values(tmp_path, key, value):
@@ -196,7 +197,7 @@ def test_simulate_exit_code_on_bad_config(tmp_path):
 
 def test_simulate_unstable_step_exits_runtime(tmp_path, capsys):
     cfg_path = write_config(
-        tmp_path / "sim.ini", tag="DW1D", dt="10.0", horizon="100.0", paths=3, t0="0.25"
+        tmp_path / "sim.ini", tag="DW1D", dt="10.0", horizon="100.0", paths=3
     )
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
@@ -377,6 +378,12 @@ def test_control_discrepancy_stops_at_a_guard_exit(tmp_path, radius):
     ctx = cli._verify_context(parse_config(verify_config(tmp_path, ensemble=2000, t0=0.5, r_guard=radius)))
     with pytest.raises(dv.IntegrationError):
         cli._control_discrepancy(ctx)
+
+
+def test_control_discrepancy_runs_on_a_finer_dt(tmp_path):
+    """An auto t0 is a multiple of dt, so the single-path grid must divide dt."""
+    ctx = cli._verify_context(parse_config(verify_config(tmp_path, dt=1e-4, ensemble=2000)))
+    assert cli._control_discrepancy(ctx).passed
 
 
 def test_coefficients_check_fails_on_a_wrong_h_declaration():

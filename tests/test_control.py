@@ -150,7 +150,7 @@ def test_e_function_continuous_at_zero():
 def test_trace_moment_ou_closed_form(ou1d):
     # Constant curvature -1/2 saturates the chain: with r = 2, t0 = 1 both
     # sides equal {integral_0^1 e^{-s} ds}^{1/2} = (1 - 1/e)^{1/2}.
-    ens = dv.sample_stationary(ou1d, 400, method="exact", seed=8)
+    ens = dv.sample_stationary(ou1d, 400, seed=8)
     policy = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0)
     report = dv.trace_moment_check(ou1d.model, ens, policy, paths_per_point=2, dt=1e-3, seed=9)
     expected = math.sqrt(1.0 - math.exp(-1.0))

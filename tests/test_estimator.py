@@ -128,7 +128,7 @@ def test_variance_scaling_with_sample_size(ou1d):
 
 
 def test_ibp_identity_ou(ou1d):
-    summary = dv.flow_summary(ou1d.model, [0.3], OU_POLICY.t0, 1e-3, 100_000, seed=21, t0=OU_POLICY.t0)
+    summary = dv.flow_summary(ou1d.model, [0.3], OU_POLICY.t0, 1e-3, 100_000, seed=21)
     rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), summary)
     assert rep.passed
     assert rep.frechet.route == "frechet"
@@ -137,21 +137,21 @@ def test_ibp_identity_ou(ou1d):
 
 def test_ibp_identity_rot2d(rot2d):
     policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=2.0)
-    summary = dv.flow_summary(rot2d.model, [0.2, -0.1], policy.t0, 1e-3, 50_000, seed=22, t0=policy.t0)
+    summary = dv.flow_summary(rot2d.model, [0.2, -0.1], policy.t0, 1e-3, 50_000, seed=22)
     rep = dv.ibp_from_summary(dv.bump([0.0, 0.0], 1.0), summary)
     assert rep.passed
 
 
 def test_ibp_identity_dw1d(dw1d):
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
-    summary = dv.flow_summary(dw1d.model, [0.0], policy.t0, 1e-3, 100_000, seed=23, t0=policy.t0)
+    summary = dv.flow_summary(dw1d.model, [0.0], policy.t0, 1e-3, 100_000, seed=23)
     rep = dv.ibp_from_summary(dv.bump([0.0], 1.0), summary)
     assert rep.passed
 
 
 def test_ibp_from_summary_evaluates_f_once_per_route(ou1d):
     """One value and one gradient call serve both routes and the residual."""
-    summary = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-2, 200, seed=25, t0=0.5)
+    summary = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-2, 200, seed=25)
     f = dv.battery_for(ou1d)[0]
     calls = {"value": 0, "grad": 0}
 
@@ -179,7 +179,6 @@ def test_ibp_identity_fails_with_negated_control(ou1d):
         1e-3,
         50_000,
         seed=24,
-        t0=OU_POLICY.t0,
         negate_control=True,
     )
     rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), summary)
@@ -192,8 +191,8 @@ def test_estimators_reject_empty_path_count(ou1d):
 
 
 def test_threaded_batches_match_serial(ou1d):
-    serial = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30, t0=0.5)
-    threaded = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30, t0=0.5, threads=4)
+    serial = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30)
+    threaded = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30, threads=4)
     assert_allclose(serial.states, threaded.states, atol=0)
     assert_allclose(serial.frechet, threaded.frechet, atol=0)
     assert_allclose(serial.ito, threaded.ito, atol=0)
@@ -206,7 +205,7 @@ def test_fused_kernel_matches_per_path_reference(ou1d, dw1d):
         policy = dv.HorizonPolicy(t0=t0, gamma0=8.0 if t0 == 0.5 else 1.0, r=2.0)
         dt = 1e-3
         n = int(round(t0 / dt))
-        summary = dv.flow_summary(model, [0.2], t0, dt, 3, seed=25, t0=t0)
+        summary = dv.flow_summary(model, [0.2], t0, dt, 3, seed=25)
         for i in range(3):
             noise = dv.WienerGrid.generate(25, i, n, dt, 1)
             traj = dv.simulate_path(model, [0.2], t0, dt, noise)
@@ -236,9 +235,8 @@ def test_moment_chain_holds_on_samples(ou1d, ou_ensemble):
     f_pow = np.empty((n_starts, m_paths))
     i_pow = np.empty((n_starts, m_paths))
     for n_idx in range(n_starts):
-        summary = dv.flow_summary(
-            ou1d.model, starts[n_idx], t0, dt, m_paths, seed=29, t0=t0, path_offset=n_idx * m_paths
-        )
+        # Every start reuses one noise block: Jensen and Hoelder hold for any samples.
+        summary = dv.flow_summary(ou1d.model, starts[n_idx], t0, dt, m_paths, seed=29)
         est = dv.malliavin_from_summary(f, summary)
         grads[n_idx] = abs(est.estimate[0])
         f_pow[n_idx] = np.abs(f.value(summary.states)) ** q

@@ -250,7 +250,7 @@ def test_non_finite_coefficient_raises(ou1d):
 
 def test_make_problem_registry():
     assert dv.make_problem("ou1d").tag == "OU1D"
-    assert dv.make_problem("ROT2D", h=3.0).params["h"] == 3.0
+    assert dv.make_problem("ROT2D", h=3.0).model.antisym(np.zeros(2))[0, 1] == 3.0
     with pytest.raises(dv.ConfigError):
         dv.make_problem("NOPE")
 
@@ -280,12 +280,18 @@ def test_antisym_none_is_bit_identical_to_an_explicit_zero_h(tag, all_problems):
     for f in (dv.coordinate(0, d), dv.square(d), dv.bump(np.full(d, 0.3), 1.0)):
         _assert_bits_equal(dv.apply_generator(model, f, pts), dv.apply_generator(zeros, f, pts))
     assert dv.consistency_report(model, pts) == dv.consistency_report(zeros, pts)
-    method = "exact" if problem.stationary_sampler is not None else "langevin"
-    ens = dv.sample_stationary(problem, 2000, method=method, seed=5)
+    ens = dv.sample_stationary(problem, 2000, seed=5)
     assert norms._ell_2_star(model, ens, 4.0) == norms._ell_2_star(zeros, ens, 4.0)
     rng = np.random.default_rng(7)
     x0 = np.concatenate([np.zeros((1, d)), rng.standard_normal((63, d))])
     increments = np.sqrt(1e-3) * rng.standard_normal((64, 200, d))
     ours = [x for _, x, _ in engine.sweep(model, x0, 1e-3, increments)]
     theirs = [x for _, x, _ in engine.sweep(zeros, x0, 1e-3, increments)]
+    _assert_bits_equal(np.stack(ours), np.stack(theirs))
+    # with no jac_drift, H = 0 gives the zero Jacobian an explicit one would
+    assert model.jac_drift is None
+    zero_jac = dataclasses.replace(model, jac_drift=lambda x: np.zeros(np.asarray(x).shape[:-1] + (d, d)))
+    _assert_bits_equal(dv.curvature_matrix(model, pts), dv.curvature_matrix(zero_jac, pts))
+    ours = [c for *_, c in engine.propagator_sweep(model, x0, 1e-3, increments)]
+    theirs = [c for *_, c in engine.propagator_sweep(zero_jac, x0, 1e-3, increments)]
     _assert_bits_equal(np.stack(ours), np.stack(theirs))

@@ -1,13 +1,16 @@
 """Every divflow name, subcommand and config key that README.md shows still exists.
 
-The README examples are not run by the suite, so a deleted or renamed
-public name, or a config key added without its documentation, would leave
-them wrong without failing any test.  This reads the examples as text and
-runs no Monte Carlo.
+The README's Monte Carlo examples are not run by the suite, so a deleted or
+renamed public name, or a config key added without its documentation, would
+leave them wrong without failing any test.  This reads those examples as
+text; only the custom-model example, which runs no Monte Carlo, is executed.
 """
 from __future__ import annotations
 
+import ast
 import configparser
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -55,3 +58,14 @@ def test_readme_config_block_shows_every_key_and_parses(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(block)
     parse_config(path)
+
+
+def test_readme_custom_model_example_runs_and_is_consistent():
+    """The custom model omits jac_drift and declares H = 0; its printed deviations are tiny."""
+    (block,) = [body for lang, body in BLOCKS if lang == "python" and "CoefficientModel(" in body]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    report = ast.literal_eval(out.getvalue().strip())
+    assert set(report) == {"antisym_max_dev", "hess_sym_max_dev", "grad_antisym_fd_max_dev"}
+    assert max(report.values()) < 1e-6

@@ -129,16 +129,9 @@ def test_langevin_sampler_dw1d_second_moment(dw1d, dw_ensemble):
     assert abs(m2 - m2_ref) <= 3.0 * se
 
 
-def test_exact_method_requires_sampler(dw1d):
-    with pytest.raises(dv.ConfigError):
-        dv.sample_stationary(dw1d, 100, method="exact")
-
-
 def test_langevin_low_acceptance_flagged(dw1d):
     # absurdly large proposal step: almost everything is rejected
-    ens = dv.sample_stationary(
-        dw1d, 500, method="langevin", burn_in=5.0, thin=1.0, step=50.0, seed=16
-    )
+    ens = dv.sample_stationary(dw1d, 500, seed=16, step=50.0)
     assert ens.diagnostics["acceptance_rate"] < 0.10
     assert ens.diagnostics["low_acceptance"]
 
