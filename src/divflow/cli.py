@@ -276,7 +276,13 @@ def _route_rows(config: ExperimentConfig, name: str, rep: IbpReport, routes) -> 
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    """Integrate config.paths trajectories and write one CSV per path."""
+    """Integrate config.paths trajectories and write one CSV per path.
+
+    Paths are stepped in batches (`engine.batch_sizes`): one noise block and
+    one Euler sweep per batch, whose CSVs are written before the next batch
+    is stepped.  Path i is driven by noise stream i of the master seed and
+    stops at its guard exit, so the files do not depend on the batching.
+    """
     problem = _build_problem(config)
     model = problem.model
     d = model.dim
@@ -284,28 +290,30 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     n = engine.steps_for(config.horizon, config.dt)
 
     ensemble = sample_stationary(problem, config.paths, config.seed + _SEED_TAGS["simulate"])
-    coord_cols = [f"x_{j + 1}" for j in range(d)]
+    columns = ",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["exited"])
+    times = [_fmt(t) for t in (config.dt * np.arange(n + 1)).tolist()]
     failures: list[tuple[int, int]] = []
     stats_rows = []
-    for i in range(config.paths):
-        noise = WienerGrid.generate(config.seed, i, n, config.dt, d)
-        traj = simulate_path(
-            model, ensemble.points[i], config.horizon, config.dt, noise, r_guard=config.r_guard
+    for offset, size in engine.batch_sizes(config.paths, n, d):
+        noise = engine.increments_block(config.seed, offset, size, n, config.dt, d)
+        states, exit_steps = engine.euler_sweep(
+            model, ensemble.points[offset : offset + size], config.dt, noise, r_guard=config.r_guard
         )
-        lines = _csv_header(config, {"path_index": i, "horizon": _fmt(config.horizon)})
-        lines.append(",".join(["t"] + coord_cols + ["exited"]))
-        last = traj.states.shape[0] - 1
-        for k in range(traj.states.shape[0]):
-            flag = 1 if (traj.exited and k == last) else 0
-            lines.append(
-                ",".join([_fmt(traj.times[k])] + [_fmt(v) for v in traj.states[k]] + [str(flag)])
-            )
-        _write_lines(out / f"path_{i:05d}.csv", lines)
-        stats_rows.append(
-            f"{i},{int(traj.exited)},{traj.exit_step if traj.exited else ''}"
-        )
-        if traj.exited:
-            failures.append((i, traj.exit_step))
+        del noise  # at most one noise block and one state block are held at a time
+        for b, step in enumerate(exit_steps.tolist()):
+            i = offset + b
+            exited = step >= 0
+            coords = states[b, : step + 1 if exited else n + 1].T.tolist()
+            lines = _csv_header(config, {"path_index": i, "horizon": _fmt(config.horizon)})
+            lines.append(columns)
+            lines += [",".join([t, *map(_fmt, x), "0"]) for t, *x in zip(times, *coords)]
+            if exited:
+                lines[-1] = lines[-1][:-1] + "1"
+            _write_lines(out / f"path_{i:05d}.csv", lines)
+            stats_rows.append(f"{i},{int(exited)},{step if exited else ''}")
+            if exited:
+                failures.append((i, step))
+        del states
     stats = _csv_header(config) + ["path_index,exited,exit_step"] + stats_rows
     _write_lines(out / "exit_stats.csv", stats)
     if failures:
@@ -617,11 +625,15 @@ def _decay(ctx: VerifyContext) -> CheckResult:
     )
 
 
+# The moment_bound check's fixed horizon; `cmd_verify` requires dt to divide it.
+_MOMENT_HORIZON = 5.0
+
+
 def _moment_bound(ctx: VerifyContext) -> CheckResult:
     """Stopped-moment bound and exit probabilities."""
     mom = moment_bound_check(
         ctx.model,
-        MomentTestConfig(rho=0.4, radii=(3.0, 5.0, 8.0), horizon=5.0),
+        MomentTestConfig(rho=0.4, radii=(3.0, 5.0, 8.0), horizon=_MOMENT_HORIZON),
         ctx.ensemble,
         n_paths=min(ctx.config.paths, 5000),
         dt=ctx.config.dt,
@@ -717,6 +729,10 @@ def _write_verify_outputs(ctx: VerifyContext, results: list[CheckResult]) -> Non
 
 
 def cmd_verify(config: ExperimentConfig, negate_control: bool = False) -> int:
+    try:  # before any check runs, not when the last one starts
+        engine.steps_for(_MOMENT_HORIZON, config.dt)
+    except ConfigError as exc:
+        raise ConfigError(f"moment_bound check: {exc}") from None
     results, ctx = run_verify(config, negate_control=negate_control)
     _write_verify_outputs(ctx, results)
     failures = [r for r in results if not r.passed]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import divflow as dv
-from divflow import cli
+from divflow import cli, engine
 from divflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -213,6 +213,79 @@ def test_simulate_start_outside_guard_names_the_radius(tmp_path, capsys):
     assert "dt" not in err
 
 
+def reference_simulate(config) -> dict:
+    """`simulate`'s files built path by path from `simulate_path` and `WienerGrid.generate`."""
+    problem = cli._build_problem(config)
+    ensemble = dv.sample_stationary(problem, config.paths, config.seed + cli._SEED_TAGS["simulate"])
+    n = engine.steps_for(config.horizon, config.dt)
+    d = problem.model.dim
+    files, stats = {}, []
+    for i in range(config.paths):
+        noise = dv.WienerGrid.generate(config.seed, i, n, config.dt, d)
+        traj = dv.simulate_path(problem.model, ensemble.points[i], config.horizon, config.dt, noise, r_guard=config.r_guard)
+        lines = cli._csv_header(config, {"path_index": i, "horizon": cli._fmt(config.horizon)})
+        lines.append(",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["exited"]))
+        for k, (t, x) in enumerate(zip(traj.times, traj.states)):
+            flag = int(traj.exited and k == len(traj.times) - 1)
+            lines.append(",".join([cli._fmt(t)] + [cli._fmt(v) for v in x] + [str(flag)]))
+        files[f"path_{i:05d}.csv"] = "\n".join(lines) + "\n"
+        stats.append(f"{i},{int(traj.exited)},{traj.exit_step if traj.exited else ''}")
+    files["exit_stats.csv"] = "\n".join(cli._csv_header(config) + ["path_index,exited,exit_step"] + stats) + "\n"
+    return files
+
+
+SIMULATE_CASES = {
+    "OU1D": dict(tag="OU1D"),
+    "DW1D": dict(tag="DW1D"),
+    "ROT2D": dict(tag="ROT2D"),
+    "VARH2D": dict(tag="VARH2D"),
+    "OU1D-guard": dict(tag="OU1D", paths=20, horizon="2.0", r_guard="2.5"),  # path 0 exits at step 1965
+}
+
+
+def simulate_against_reference(tmp_path, case):
+    values = dict(paths=6, horizon="0.5")
+    values.update(SIMULATE_CASES[case])
+    config = parse_config(write_config(tmp_path / "sim.ini", **values))
+    expected = reference_simulate(config)
+    exited = ",1," in expected["exit_stats.csv"]  # a row "i,1,step"
+    assert main(["simulate", "--config", str(tmp_path / "sim.ini")]) == (EXIT_RUNTIME if exited else EXIT_OK)
+    out = Path(config.out_dir)
+    assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_text() == text, name
+    return exited
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_matches_the_path_by_path_reference(tmp_path, case):
+    """One batched sweep writes the files that one `simulate_path` per path writes."""
+    assert simulate_against_reference(tmp_path, case) == case.endswith("guard")
+
+
+def test_simulate_output_does_not_depend_on_batching(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCK_BUDGET", 3 * 2000)  # 20 paths of 2000 steps: 7 batches
+    assert len(engine.batch_sizes(20, 2000, 1)) == 7
+    assert simulate_against_reference(tmp_path, "OU1D-guard")
+
+
+def test_simulate_nonfinite_state_names_the_earliest_step_of_the_batch(tmp_path, capsys):
+    """With no guard, DW1D at dt = 10 overflows; the error names the first step any path fails at."""
+    cfg_path = write_config(tmp_path / "sim.ini", tag="DW1D", dt="10.0", horizon="100.0", paths=3, r_guard="inf")
+    config = parse_config(cfg_path)
+    problem = cli._build_problem(config)
+    ensemble = dv.sample_stationary(problem, 3, config.seed + cli._SEED_TAGS["simulate"])
+    steps = []
+    for i in range(3):
+        noise = dv.WienerGrid.generate(config.seed, i, 10, 10.0, 1)
+        with pytest.raises(dv.IntegrationError) as exc, np.errstate(over="ignore"):
+            dv.simulate_path(problem.model, ensemble.points[i], 100.0, 10.0, noise, r_guard=math.inf)
+        steps.append(exc.value.step)
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    assert f"integration error at step {min(steps)}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradient
 # ---------------------------------------------------------------------------
@@ -282,6 +355,15 @@ def test_verify_ou_passes_and_reports(tmp_path, capsys):
     assert header.endswith("C,ratio,verdict")
     assert (out / "trace.csv").exists()
     assert (out / "gradient_routes.csv").exists()
+
+
+def test_verify_rejects_a_dt_off_the_moment_horizon_before_any_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_verify", lambda *args, **kwargs: pytest.fail("a check ran"))
+    cfg_path = verify_config(tmp_path, dt="3e-4")
+    assert main(["verify", "--config", str(cfg_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: moment_bound check: horizon 5.0 is not a positive multiple of dt 0.0003" in captured.err
 
 
 def test_verify_rot2d_passes(tmp_path):
