@@ -531,7 +531,6 @@ def _trace_moment(ctx: VerifyContext) -> CheckResult:
         paths_per_point=2,
         dt=ctx.config.dt,
         seed=ctx.config.seed + _SEED_TAGS["trace"],
-        tag=ctx.config.tag,
     )
     return CheckResult(
         "trace_moment",

@@ -136,22 +136,17 @@ def gronwall_sweep(
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     t0 = policy.t0
     n0 = engine.steps_for(t0, dt)
-    d = model.dim
     max_slack = -np.inf
     max_gap = 0.0
-    for off, size in engine.batch_sizes(starts.shape[0], n0, d):
-        inc = engine.increments_block(seed, off, size, n0, dt, d)
-        steps = engine.propagator_sweep(model, starts[off : off + size], dt, inc)
-        integral = np.zeros(size)
-        for k, _, _, a, c in engine.require_alive(steps):
-            u = numerical_range_sup(a)
-            if k > 0:
-                integral = integral + 0.5 * (u + u_prev) * dt
-            u_prev = u
-            bound = np.exp(2.0 * integral) / t0**2
-            slack = np.sum((c / t0) ** 2, axis=1) - bound[:, None]
-            max_slack = max(max_slack, float(np.max(slack)))
-            max_gap = max(max_gap, float(np.max(np.abs(slack))))
+    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed)
+    for _, (k, _, _, a, c) in steps:
+        u = numerical_range_sup(a)
+        integral = integral + 0.5 * (u + u_prev) * dt if k > 0 else np.zeros(u.shape)
+        u_prev = u
+        bound = np.exp(2.0 * integral) / t0**2
+        slack = np.sum((c / t0) ** 2, axis=1) - bound[:, None]
+        max_slack = max(max_slack, float(np.max(slack)))
+        max_gap = max(max_gap, float(np.max(np.abs(slack))))
     return max_slack, max_gap
 
 
@@ -203,7 +198,6 @@ def trace_moment_check(
     paths_per_point: int = 1,
     dt: float = 1.0e-3,
     seed: int = 0,
-    tag: str = "",
 ) -> TraceMomentReport:
     """Monte-Carlo check of the trace moment estimate over stationary starts.
 
@@ -217,23 +211,18 @@ def trace_moment_check(
     n0 = engine.steps_for(t0, dt)
     d = model.dim
     starts = np.repeat(ensemble.points, paths_per_point, axis=0)
-    n_total = starts.shape[0]
 
-    samples = np.empty(n_total)
-    for off, size in engine.batch_sizes(n_total, n0, d):
-        inc = engine.increments_block(seed, off, size, n0, dt, d)
-        steps = engine.propagator_sweep(model, starts[off : off + size], dt, inc)
-        integral = np.zeros(size)
-        for k, _, _, _, c in engine.require_alive(steps):
-            # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule
-            integrand = (np.sum(c**2, axis=(-2, -1)) / t0**2) ** (r / 2.0)
-            if k > 0:
-                integral = integral + 0.5 * (integrand + prev) * dt
-            prev = integrand
-        samples[off : off + size] = integral / t0
+    samples = np.empty(starts.shape[0])
+    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed)
+    for part, (k, _, _, _, c) in steps:
+        # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule
+        integrand = (np.sum(c**2, axis=(-2, -1)) / t0**2) ** (r / 2.0)
+        integral = integral + 0.5 * (integrand + prev) * dt if k > 0 else np.zeros(integrand.shape)
+        prev = integrand
+        if k == n0:
+            samples[part] = integral / t0
 
-    mean = float(np.mean(samples))
-    se_mean = float(np.std(samples, ddof=1) / math.sqrt(n_total)) if n_total > 1 else 0.0
+    mean, se_mean = map(float, engine.mean_and_se(samples))
     lhs = mean ** (1.0 / r)
     lhs_se = se_mean * lhs / (r * mean) if mean > 0 else 0.0
 
@@ -243,7 +232,7 @@ def trace_moment_check(
     rhs_se = math.sqrt(d) / t0 * phi_se * phi_mean ** (1.0 / r) / (r * phi_mean)
 
     return TraceMomentReport(
-        tag=tag or model.name,
+        tag=model.name,
         t0=t0,
         r=r,
         lhs=lhs,

@@ -137,12 +137,34 @@ def propagator_sweep(
         yield k, x, alive, a, c
 
 
-def require_alive(steps: Iterator[tuple]) -> Iterator[tuple]:
-    """Pass a sweep through; raise IntegrationError at its first guard exit."""
-    for item in steps:
-        if not item[2].all():
-            raise IntegrationError(f"a path left the radius guard at step {item[0]}", step=item[0])
-        yield item
+def ensemble_sweep(
+    sweep: Callable, model: CoefficientModel, starts: Array, dt: float, n_steps: int, seed: int
+) -> Iterator[tuple[slice, tuple]]:
+    """Run `sweep` from every start, in batches within the noise budget.
+
+    Path i is driven by noise stream (seed, i), so nothing depends on the
+    batching.  Yields (part, (k, x, alive[, a, c])): the batch's slice of
+    `starts` and each step of its sweep.  Raises IntegrationError at the
+    first step where a path is outside the radius guard.
+    """
+    n, d = starts.shape
+    for off, size in batch_sizes(n, max(n_steps, 1), d):
+        part = slice(off, off + size)
+        inc = increments_block(seed, off, size, n_steps, dt, d)
+        for item in sweep(model, starts[part], dt, inc):
+            if not item[2].all():
+                raise IntegrationError(f"a path left the radius guard at step {item[0]}", step=item[0])
+            yield part, item
+
+
+def mean_and_se(values) -> tuple[Array, Array]:
+    """Mean over axis 0 and its iid standard error, which is nan below two samples."""
+    values = np.asarray(values, dtype=float)
+    mean = values.mean(axis=0)
+    n = values.shape[0]
+    if n < 2:
+        return mean, np.full_like(mean, np.nan)
+    return mean, values.std(axis=0, ddof=1) / np.sqrt(n)
 
 
 def euler_sweep(

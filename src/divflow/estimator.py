@@ -15,7 +15,6 @@ identity check can run the two routes on common random numbers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +144,7 @@ def _component_stats(samples: Array, alive: Array) -> tuple[Array, Array, int]:
     n = kept.shape[0]
     if n == 0:
         raise EvaluationError("all paths hit the radius guard")
-    mean = kept.mean(axis=0)
-    se = kept.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    mean, se = engine.mean_and_se(kept)
     return mean, se, n
 
 

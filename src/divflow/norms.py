@@ -431,27 +431,22 @@ def decay_check(
     starts = ensemble.points[:n_outer]
     n = starts.shape[0]
     m = inner_paths
-    d = model.dim
     t_max = t_grid[-1]
     n_steps = engine.steps_for(t_max, dt) if t_max > 0 else 0
     grid_idx = [engine.steps_for(t, dt) if t > 0 else 0 for t in t_grid]
 
     rep = np.repeat(starts, m, axis=0)
     values = {k: np.empty(n * m) for k in grid_idx}
-    for off, size in engine.batch_sizes(n * m, max(n_steps, 1), d):
-        inc = engine.increments_block(seed, off, size, n_steps, dt, d)
-        for k, x, _ in engine.require_alive(engine.sweep(model, rep[off : off + size], dt, inc)):
-            if k in values:
-                values[k][off : off + size] = f.value(x)
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, rep, dt, n_steps, seed):
+        if k in values:
+            values[k][part] = f.value(x)
 
     points = []
     for t, k in zip(t_grid, grid_idx):
         vals = values[k].reshape(n, m)
         a = vals.mean(axis=1)
         s2 = vals.var(axis=1, ddof=1) / m if m > 1 else np.zeros(n)
-        sq_samples = a * a - s2
-        sq_mean = float(np.mean(sq_samples))
-        sq_se = float(np.std(sq_samples, ddof=1) / math.sqrt(n))
+        sq_mean, sq_se = map(float, engine.mean_and_se(a * a - s2))
         norm = math.sqrt(max(sq_mean, 0.0))
         se = sq_se / (2.0 * norm) if norm > 1.0e-12 else math.sqrt(max(sq_se, 0.0))
         points.append(DecayPoint(t=t, norm=norm, std_error=se))
@@ -477,8 +472,8 @@ class MomentTestConfig:
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
-        if any(r <= 0 for r in self.radii):
-            raise ConfigError("radii must be positive")
+        if not self.radii or any(r <= 0 for r in self.radii):
+            raise ConfigError("radii must be a nonempty list of positive values")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
 
@@ -551,26 +546,21 @@ def moment_bound_check(
     frozen = {r: np.full(n, np.nan) for r in radii}
     stopped = {r: np.zeros(n, dtype=bool) for r in radii}
     final = np.empty((n, d))
-    r_min = radii[0] if radii else math.inf
-    for off, size in engine.batch_sizes(n, max(n_steps, 1), d):
-        part = slice(off, off + size)
-        inc = engine.increments_block(seed, off, size, n_steps, dt, d)
-        for _, x, _ in engine.require_alive(engine.sweep(model, starts[part], dt, inc)):
-            nrm = np.linalg.norm(x, axis=-1)
-            if not (nrm >= r_min).any():  # no path reaches even the smallest radius
-                continue
-            for r in radii:
-                hit = ~stopped[r][part] & (nrm >= r)
-                stopped[r][part] |= hit
-                frozen[r][part][hit] = f_mom(x[hit])
-        final[part] = x
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed):
+        if k == n_steps:
+            final[part] = x
+        nrm = np.linalg.norm(x, axis=-1)
+        if not (nrm >= radii[0]).any():  # no path reaches even the smallest radius
+            continue
+        for r in radii:
+            hit = ~stopped[r][part] & (nrm >= r)
+            stopped[r][part] |= hit
+            frozen[r][part][hit] = f_mom(x[hit])
 
     rows = []
     exit_probs = []
     for r in radii:
-        vals = np.where(stopped[r], frozen[r], f_mom(final))
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(n))
+        mean, se = map(float, engine.mean_and_se(np.where(stopped[r], frozen[r], f_mom(final))))
         prob = float(np.count_nonzero(stopped[r])) / n
         envelope = bound / r ** (2.0 * rho)
         rows.append(
@@ -621,22 +611,18 @@ def stationarity_check(
     t_grid = sorted(float(t) for t in t_grid if t > 0)
     starts = ensemble.points[: min(n_paths, ensemble.count)]
     n = starts.shape[0]
-    d = model.dim
     n_steps = engine.steps_for(t_grid[-1], dt)
     marks = {0, *(engine.steps_for(t, dt) for t in t_grid)}
     values = {(f.name, k): np.empty(n) for f in battery for k in marks}
-    for off, size in engine.batch_sizes(n, n_steps, d):
-        inc = engine.increments_block(seed, off, size, n_steps, dt, d)
-        for k, x, _ in engine.require_alive(engine.sweep(model, starts[off : off + size], dt, inc)):
-            if k in marks:
-                for f in battery:
-                    values[(f.name, k)][off : off + size] = f.value(x)
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed):
+        if k in marks:
+            for f in battery:
+                values[(f.name, k)][part] = f.value(x)
 
     rows = []
     for f in battery:
         for t in t_grid:
             diff = values[(f.name, engine.steps_for(t, dt))] - values[(f.name, 0)]
-            mean = float(np.mean(diff))
-            se = float(np.std(diff, ddof=1) / math.sqrt(n))
+            mean, se = map(float, engine.mean_and_se(diff))
             rows.append(StationarityRow(name=f.name, t=t, drift=mean, std_error=se))
     return StationarityReport(rows=rows)

@@ -99,18 +99,15 @@ class StationaryEnsemble:
         return self.points.shape[1]
 
     def mean_and_se(self, values: Array) -> tuple[float, float]:
-        """Mean of per-point values and an honest standard error."""
+        """Mean of per-point values and its SE: between chain means for chain draws, else iid."""
         values = np.asarray(values, dtype=float)
-        mean = float(np.mean(values))
-        n = values.shape[0]
-        if self.n_chains and self.n_chains > 1 and n >= 2 * self.n_chains:
-            m = self.n_chains
-            rounds = n // m
-            chain_means = values[: rounds * m].reshape(rounds, m).mean(axis=0)
-            se = float(np.std(chain_means, ddof=1) / math.sqrt(m))
-        else:
-            se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return mean, se
+        m = self.n_chains
+        if m and m > 1 and values.shape[0] >= 2 * m:
+            rounds = values.shape[0] // m
+            _, se = engine.mean_and_se(values[: rounds * m].reshape(rounds, m).mean(axis=0))
+            return float(np.mean(values)), float(se)
+        mean, se = engine.mean_and_se(values)
+        return float(mean), float(se)
 
 
 def simulate_path(

@@ -124,9 +124,7 @@ def test_criterion_05_trace_moment(all_problems, ensembles):
             diagnostics=ens.diagnostics,
             n_chains=ens.n_chains,
         )
-        rep = dv.trace_moment_check(
-            problem.model, sub, policy, paths_per_point=2, dt=1e-3, seed=SEED + 5, tag=tag
-        )
+        rep = dv.trace_moment_check(problem.model, sub, policy, paths_per_point=2, dt=1e-3, seed=SEED + 5)
         ok &= rep.passed
         detail.append(f"{tag} {rep.lhs:.3f}<={rep.rhs:.3f}")
         if tag == "OU1D":

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -364,6 +365,17 @@ def test_verify_rejects_a_dt_off_the_moment_horizon_before_any_check(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error: moment_bound check: horizon 5.0 is not a positive multiple of dt 0.0003" in captured.err
+
+
+def test_verify_on_one_sample_fails_without_warnings(tmp_path, capsys):
+    """One sample has no standard error: each 3-SE check on it fails, and numpy stays quiet."""
+    cfg_path = verify_config(tmp_path, paths=1, ensemble=2000, t0=0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", str(cfg_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert "verification failed: stationarity, ibp_identity, moment_bound\n" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_verify_rot2d_passes(tmp_path):

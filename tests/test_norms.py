@@ -352,3 +352,5 @@ def test_moment_config_validation():
         dv.MomentTestConfig(rho=1.5, radii=(3.0,), horizon=1.0)
     with pytest.raises(dv.ConfigError):
         dv.MomentTestConfig(rho=0.4, radii=(-1.0,), horizon=1.0)
+    with pytest.raises(dv.ConfigError):  # no row, so the report could never fail
+        dv.MomentTestConfig(rho=0.4, radii=(), horizon=1.0)

@@ -1,15 +1,21 @@
 """Every divflow name that perfbench/tracing.py wraps still exists.
 
-The tracer looks its layer functions up by name, so a rename in divflow
-would break `perfbench/run.py --trace 1` without failing any divflow test.
+The tracer looks its layer functions up by name, and reads its work counts
+off their arguments by parameter name, so a rename in divflow would break
+`perfbench/run.py --trace 1` without failing any other divflow test.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -45,3 +51,32 @@ def test_verify_calls_the_functions_that_open_check_spans():
         if getattr(cli, fn, None) is not getattr(importlib.import_module(f"divflow.{mod}"), fn):
             unbound.append(name)
     assert unbound == []
+
+
+def test_traced_verify_counts_the_norms_checks_and_times_every_check(tmp_path):
+    paths, ensemble = 200, 500
+    cfg = tmp_path / "v.ini"
+    cfg.write_text(
+        f"[problem]\ntag = OU1D\n[simulation]\npaths = {paths}\n[inequality]\nensemble = {ensemble}\n"
+    )
+    report, spans = tmp_path / "report.json", tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "perfbench" / "launch.py"), "--report", str(report), "--trace", str(spans)]
+    cmd += ["--", "verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode in (0, 1) and report.exists(), proc.stderr
+    assert json.loads(report.read_text())["code"] == proc.returncode
+
+    tracing = _tracing()
+    metrics = tracing.layer_metrics(json.loads(spans.read_text()), 0.0)
+    # n x steps from the config and the sizes `cli` gives each check (OU1D, dt = 1e-3).
+    expected = {
+        "stationarity_check": min(paths, 8000) * round(5.0 / 5.0e-3),
+        "decay_check": min(1000, ensemble) * 100 * round(5.0 / 1.0e-2),
+        "moment_bound_check": min(paths, 5000) * round(5.0 / 1.0e-3),
+    }
+    assert {name: metrics[f"norms.{name}.path_steps"]["value"] for name in expected} == expected
+    assert len(tracing.CHECKS) == 12
+    untimed = [name for name in tracing.CHECKS if not metrics[f"cli.check.{name}.total_s"]["value"] > 0]
+    assert untimed == []
