@@ -350,9 +350,7 @@ def _parse_point(text: str, dim: int):
     return np.asarray(vals)
 
 
-def cmd_gradient(
-    config: ExperimentConfig, f_id: str, x_text: str, negate_control: bool = False
-) -> int:
+def cmd_gradient(config: ExperimentConfig, f_id: str, x_text: str) -> int:
     """Run both gradient routes plus the identity check for one function."""
     problem = _build_problem(config)
     battery = battery_for(problem)
@@ -369,7 +367,6 @@ def cmd_gradient(
         config.dt,
         config.paths,
         seed=config.seed + _SEED_TAGS["gradient"],
-        negate_control=negate_control,
         r_guard=config.r_guard,
         threads=config.threads,
     )
@@ -412,20 +409,19 @@ class VerifyContext:
     profiles: list[NormProfile]  # norms of each battery function, aligned with battery
     policy: HorizonPolicy
     integrability: ExpIntegrability  # E(gamma0) on the ensemble
-    negate_control: bool
 
     @property
     def model(self):
         return self.problem.model
 
 
-def _verify_context(config: ExperimentConfig, negate_control: bool = False) -> VerifyContext:
+def _verify_context(config: ExperimentConfig) -> VerifyContext:
     problem = _build_problem(config)
     battery = battery_for(problem)
     ensemble, profiles = _battery_profiles(config, problem, battery)
     policy = config.policy_for(problem, t0=resolve_t0(config, problem, profiles))
     integ = exp_integrability(problem.model, ensemble, policy.gamma0)
-    return VerifyContext(config, problem, battery, ensemble, profiles, policy, integ, negate_control)
+    return VerifyContext(config, problem, battery, ensemble, profiles, policy, integ)
 
 
 # Where the ibp_identity check evaluates both gradient routes.
@@ -498,8 +494,6 @@ def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
         jac = drift_jacobian_path(model, traj)
         c = fundamental_matrix(jac)
         control = build_control(c, policy)
-        if ctx.negate_control:
-            control = replace(control, values=-control.values, boundary=-control.boundary)
         theta = theta_flow(jac, c, control)
         theta_max = max(theta_max, float(np.max(np.abs(theta.ode[control.horizon_index :]))))
         mismatch_max = max(mismatch_max, theta.route_mismatch)
@@ -550,7 +544,6 @@ def _ibp_identity(ctx: VerifyContext) -> CheckResult:
         config.dt,
         min(config.paths, 20000),
         seed=config.seed + _SEED_TAGS["gradient"],
-        negate_control=ctx.negate_control,
         r_guard=config.r_guard,
         threads=config.threads,
     )
@@ -663,11 +656,9 @@ CHECKS = (
 )
 
 
-def run_verify(
-    config: ExperimentConfig, negate_control: bool = False
-) -> tuple[list[CheckResult], VerifyContext]:
+def run_verify(config: ExperimentConfig) -> tuple[list[CheckResult], VerifyContext]:
     """Build the shared context and run every check in `CHECKS` order."""
-    ctx = _verify_context(config, negate_control)
+    ctx = _verify_context(config)
     return [check(ctx) for check in CHECKS], ctx
 
 
@@ -727,12 +718,12 @@ def _write_verify_outputs(ctx: VerifyContext, results: list[CheckResult]) -> Non
     _write_lines(out / "report.md", md)
 
 
-def cmd_verify(config: ExperimentConfig, negate_control: bool = False) -> int:
+def cmd_verify(config: ExperimentConfig) -> int:
     try:  # before any check runs, not when the last one starts
         engine.steps_for(_MOMENT_HORIZON, config.dt)
     except ConfigError as exc:
         raise ConfigError(f"moment_bound check: {exc}") from None
-    results, ctx = run_verify(config, negate_control=negate_control)
+    results, ctx = run_verify(config)
     _write_verify_outputs(ctx, results)
     failures = [r for r in results if not r.passed]
     for res in results:
@@ -772,12 +763,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "gradient":
             cmd.add_argument("--function", required=True, help="test function id")
             cmd.add_argument("--x", required=True, help="evaluation point, comma separated")
-        if name in ("gradient", "verify"):
-            cmd.add_argument(
-                "--debug-negate-control",
-                action="store_true",
-                help="fault injection: flip the control sign (identity check must fail)",
-            )
     return parser
 
 
@@ -789,10 +774,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         if args.command == "gradient":
-            return cmd_gradient(
-                config, args.function, args.x, negate_control=args.debug_negate_control
-            )
-        return cmd_verify(config, negate_control=args.debug_negate_control)
+            return cmd_gradient(config, args.function, args.x)
+        return cmd_verify(config)
     except (ConfigError, PolicyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

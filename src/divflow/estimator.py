@@ -98,7 +98,6 @@ def flow_summary(
     dt: float,
     n_paths: int,
     seed: int = 0,
-    negate_control: bool = False,
     r_guard: float = engine.DEFAULT_R_GUARD,
     threads: int = 1,
 ) -> PathSummary:
@@ -115,7 +114,6 @@ def flow_summary(
         raise ConfigError(f"n_paths must be positive, got {n_paths}")
     n = engine.steps_for(t_end, dt)
     d = model.dim
-    sign = -1.0 if negate_control else 1.0
 
     def worker(spec):
         off, size = spec
@@ -124,7 +122,7 @@ def flow_summary(
         ito = np.zeros((size, d))
         for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
             if k < n:
-                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (sign / t_end)
+                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (1.0 / t_end)
                 ito = np.where(alive[:, None], ito + contrib, ito)
         return xs, c, ito, alive
 
@@ -187,20 +185,9 @@ def grad_malliavin(
     n_paths: int,
     dt: float,
     seed: int = 0,
-    negate_control: bool = False,
-    threads: int = 1,
 ) -> GradientEstimate:
     """Estimate grad P_{t0} f(x) by integration by parts; f is never differentiated."""
-    summary = flow_summary(
-        model,
-        x,
-        policy.t0,
-        dt,
-        n_paths,
-        seed=seed,
-        negate_control=negate_control,
-        threads=threads,
-    )
+    summary = flow_summary(model, x, policy.t0, dt, n_paths, seed=seed)
     return malliavin_from_summary(f, summary)
 
 

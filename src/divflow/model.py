@@ -108,10 +108,13 @@ def drift_b(model: CoefficientModel, x: Array) -> Array:
 
 
 def total_drift(model: CoefficientModel, x: Array) -> Array:
-    """Drift of the associated diffusion, (-grad U + b) / 2."""
+    """Drift of the associated diffusion, (-grad U + b) / 2.
+
+    Its finiteness is not checked here: `engine.sweep`, the one caller,
+    raises on the non-finite state a non-finite drift makes.
+    """
     x = np.asarray(x, dtype=float)
-    out = 0.5 * (drift_b(model, x) - model.grad_potential(x))
-    return _finite_or_raise(out, "total drift", x)
+    return 0.5 * (drift_b(model, x) - model.grad_potential(x))
 
 
 def _fd_jac_drift(model: CoefficientModel, x: Array) -> Array:

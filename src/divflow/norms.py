@@ -172,7 +172,6 @@ class InequalityRow:
     denom_se: float
     ratio: float
     rel_se: float
-    best_t0: float
     passed: bool
 
 
@@ -203,7 +202,6 @@ def _ratio_row(
     den_gen: NormEstimate,
     den_f: NormEstimate,
     constant: float,
-    best_t0: float,
 ) -> InequalityRow:
     denom = den_gen.value + den_f.value
     denom_se = math.hypot(den_gen.std_error, den_f.std_error)
@@ -224,16 +222,15 @@ def _ratio_row(
         denom_se=denom_se,
         ratio=ratio,
         rel_se=rel,
-        best_t0=best_t0,
         passed=passed,
     )
 
 
 def balanced_horizon(gen_lq, f_lq, t_star: float) -> float:
-    """Horizon minimising the mean over functions of sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0).
+    """Horizon minimising the battery mean of sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0).
 
-    gen_lq and f_lq are the norms of one function or of a battery; the scan
-    runs over 8 log-spaced horizons in [t_star / 100, t_star].
+    gen_lq and f_lq hold the norms of the battery's functions, in one order;
+    the scan runs over 8 log-spaced horizons in [t_star / 100, t_star].
     """
     grid = np.exp(np.linspace(math.log(t_star / 100.0), math.log(t_star), 8))
     root = np.sqrt(grid)[:, None]
@@ -251,17 +248,11 @@ def check_gradient_inequality(
 ) -> InequalityReport:
     """Test the first-derivative bound on each battery function's norm profile.
 
-    `integ` is E(gamma0) on the ensemble behind the profiles.  Also scans the
-    horizon-balanced right side C (sqrt(t0) ||G f||_q + ||f||_q / sqrt(t0))
-    over a log grid in (0, t_star] and reports the minimising horizon per
-    function.
+    `integ` is E(gamma0) on the ensemble behind the profiles.
     """
     r = r_exponent(p, q)
     constant = constant_c(model.dim, r, integ.value)
-    rows = []
-    for prof in profiles:
-        best_t0 = balanced_horizon(prof.gen_lq.value, prof.f_lq.value, policy.t_star)
-        rows.append(_ratio_row(prof.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant, best_t0))
+    rows = [_ratio_row(prof.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant) for prof in profiles]
     return InequalityReport(
         kind="gradient",
         p=p,
@@ -316,10 +307,7 @@ def check_hessian_inequality(
         denom = prof.gen_lq.value + prof.f_lq.value
         ratios.append(prof.hess_lp.value / denom if denom > 0 else 0.0)
     fitted = max(ratios) if ratios else 0.0
-    rows = [
-        _ratio_row(prof.name, prof.hess_lp, prof.gen_lq, prof.f_lq, fitted, 0.0)
-        for prof in profiles
-    ]
+    rows = [_ratio_row(prof.name, prof.hess_lp, prof.gen_lq, prof.f_lq, fitted) for prof in profiles]
     ell = {r: _ell_2_star(model, ensemble, r) for r in (2.0, 3.0, 4.0)}
     return InequalityReport(
         kind="hessian",

@@ -199,15 +199,13 @@ def _mala_chain_sample(
     return draws.reshape(rounds * m, d)[:count], rate, m
 
 
-def sample_stationary(
-    problem: TestProblem, count: int, seed: int = 0, step: float = MALA_STEP
-) -> StationaryEnsemble:
+def sample_stationary(problem: TestProblem, count: int, seed: int = 0) -> StationaryEnsemble:
     """Draw an ensemble from the invariant law exp(-U)/Z.
 
     A problem with a closed-form sampler is sampled exactly.  Otherwise the
     Metropolis-adjusted chain runs on the reversible part (dropping b, for
     which the law is equally invariant), so no correction beyond the
-    accept/reject step is needed; `step` is its proposal time step.
+    accept/reject step is needed; its proposal time step is `MALA_STEP`.
     """
     if count < 1:
         raise ConfigError(f"ensemble size must be positive, got {count}")
@@ -218,11 +216,11 @@ def sample_stationary(
         return StationaryEnsemble(
             points=points, provenance="exact", diagnostics={"seed": int(seed)}
         )
-    points, rate, m = _mala_chain_sample(problem.model, count, step, rng)
+    points, rate, m = _mala_chain_sample(problem.model, count, MALA_STEP, rng)
     diagnostics = {
         "seed": int(seed),
         "acceptance_rate": rate,
-        "step": step,
+        "step": MALA_STEP,
         "low_acceptance": rate < 0.10,
     }
     return StationaryEnsemble(

@@ -383,14 +383,6 @@ def test_verify_rot2d_passes(tmp_path):
     assert main(["verify", "--config", str(cfg_path)]) == EXIT_OK
 
 
-def test_verify_negated_control_fails(tmp_path, capsys):
-    cfg_path = verify_config(tmp_path)
-    code = main(["verify", "--config", str(cfg_path), "--debug-negate-control"])
-    assert code == EXIT_CHECK_FAILED
-    err = capsys.readouterr().err
-    assert "ibp_identity" in err or "control_discrepancy" in err
-
-
 def test_verify_rerun_is_byte_identical(tmp_path):
     cfg_path = verify_config(tmp_path)
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r1")]) == EXIT_OK

@@ -172,16 +172,9 @@ def test_ibp_from_summary_evaluates_f_once_per_route(ou1d):
 
 
 def test_ibp_identity_fails_with_negated_control(ou1d):
-    summary = dv.flow_summary(
-        ou1d.model,
-        [0.3],
-        OU_POLICY.t0,
-        1e-3,
-        50_000,
-        seed=24,
-        negate_control=True,
-    )
-    rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), summary)
+    summary = dv.flow_summary(ou1d.model, [0.3], OU_POLICY.t0, 1e-3, 50_000, seed=24)
+    negated = dataclasses.replace(summary, ito=-summary.ito)
+    rep = dv.ibp_from_summary(dv.bump([0.3], 1.0), negated)
     assert not rep.passed
 
 

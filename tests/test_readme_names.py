@@ -1,4 +1,4 @@
-"""Every divflow name, subcommand and config key that README.md shows still exists.
+"""Every divflow name, subcommand, flag and config key that README.md shows still exists.
 
 The README's Monte Carlo examples are not run by the suite, so a deleted or
 renamed public name, or a config key added without its documentation, would
@@ -7,6 +7,7 @@ text; only the custom-model example, which runs no Monte Carlo, is executed.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import configparser
 import contextlib
@@ -46,6 +47,32 @@ def test_readme_subcommands_exist(capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0, f"README shows unknown subcommand {command!r}"
+
+
+def test_readme_and_cli_flags_agree():
+    """README shows every option of every subcommand, and every flag it shows is accepted."""
+    parser = cli._build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        option
+        for command in sub.choices.values()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    examples = [
+        line.split("#")[0].split()[1:]
+        for _, body in BLOCKS
+        for line in body.splitlines()
+        if line.startswith("divflow ")
+    ]
+    shown = set(re.findall(r"`(--[\w-]+)", README))  # in inline code
+    shown |= {tok for args in examples for tok in args if tok.startswith("--")}
+    assert examples
+    assert sorted(options - shown) == []
+    assert sorted(shown - options) == []
+    for args in examples:
+        parser.parse_args(args)
 
 
 def test_readme_config_block_shows_every_key_and_parses(tmp_path):

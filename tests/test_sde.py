@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import divflow as dv
-from divflow import engine
+from divflow import engine, sde
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +129,10 @@ def test_langevin_sampler_dw1d_second_moment(dw1d, dw_ensemble):
     assert abs(m2 - m2_ref) <= 3.0 * se
 
 
-def test_langevin_low_acceptance_flagged(dw1d):
+def test_langevin_low_acceptance_flagged(dw1d, monkeypatch):
     # absurdly large proposal step: almost everything is rejected
-    ens = dv.sample_stationary(dw1d, 500, seed=16, step=50.0)
+    monkeypatch.setattr(sde, "MALA_STEP", 50.0)
+    ens = dv.sample_stationary(dw1d, 500, seed=16)
     assert ens.diagnostics["acceptance_rate"] < 0.10
     assert ens.diagnostics["low_acceptance"]
 
