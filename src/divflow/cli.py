@@ -472,6 +472,7 @@ def _stationarity(ctx: VerifyContext) -> CheckResult:
         n_paths=min(ctx.config.paths, 8000),
         dt=5.0e-3,
         seed=ctx.config.seed + _SEED_TAGS["stationarity"],
+        r_guard=ctx.config.r_guard,
     )
     return CheckResult("stationarity", stat.passed, f"{len(stat.rows)} (f, t) cells at 3 SE", stat)
 
@@ -512,6 +513,7 @@ def _gronwall(ctx: VerifyContext) -> CheckResult:
         ctx.policy,
         dt=ctx.config.dt,
         seed=ctx.config.seed + _SEED_TAGS["gronwall"],
+        r_guard=ctx.config.r_guard,
     )
     return CheckResult("gronwall", slack <= 1.0e-4, f"max slack {slack:.2e}, max gap {gap:.2e}", (slack, gap))
 
@@ -525,6 +527,7 @@ def _trace_moment(ctx: VerifyContext) -> CheckResult:
         paths_per_point=2,
         dt=ctx.config.dt,
         seed=ctx.config.seed + _SEED_TAGS["trace"],
+        r_guard=ctx.config.r_guard,
     )
     return CheckResult(
         "trace_moment",
@@ -606,6 +609,7 @@ def _decay(ctx: VerifyContext) -> CheckResult:
         inner_paths=100,
         dt=1.0e-2,
         seed=ctx.config.seed + _SEED_TAGS["decay"],
+        r_guard=ctx.config.r_guard,
     )
     return CheckResult(
         "decay",
@@ -630,6 +634,7 @@ def _moment_bound(ctx: VerifyContext) -> CheckResult:
         n_paths=min(ctx.config.paths, 5000),
         dt=ctx.config.dt,
         seed=ctx.config.seed + _SEED_TAGS["moment"],
+        r_guard=ctx.config.r_guard,
     )
     return CheckResult(
         "moment_bound",

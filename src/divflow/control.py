@@ -126,6 +126,7 @@ def gronwall_sweep(
     policy: HorizonPolicy,
     dt: float = 1.0e-3,
     seed: int = 0,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> tuple[float, float]:
     """Exponential column bound over a batch of fresh paths.
 
@@ -138,7 +139,7 @@ def gronwall_sweep(
     n0 = engine.steps_for(t0, dt)
     max_slack = -np.inf
     max_gap = 0.0
-    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed)
+    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
     for _, (k, _, _, a, c) in steps:
         u = numerical_range_sup(a)
         integral = integral + 0.5 * (u + u_prev) * dt if k > 0 else np.zeros(u.shape)
@@ -198,6 +199,7 @@ def trace_moment_check(
     paths_per_point: int = 1,
     dt: float = 1.0e-3,
     seed: int = 0,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> TraceMomentReport:
     """Monte-Carlo check of the trace moment estimate over stationary starts.
 
@@ -213,7 +215,7 @@ def trace_moment_check(
     starts = np.repeat(ensemble.points, paths_per_point, axis=0)
 
     samples = np.empty(starts.shape[0])
-    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed)
+    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
     for part, (k, _, _, _, c) in steps:
         # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule
         integrand = (np.sum(c**2, axis=(-2, -1)) / t0**2) ** (r / 2.0)

@@ -123,7 +123,10 @@ def flow_summary(
         for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
             if k < n:
                 contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (1.0 / t_end)
-                ito = np.where(alive[:, None], ito + contrib, ito)
+                if alive.all():
+                    ito += contrib
+                else:
+                    ito = np.where(alive[:, None], ito + contrib, ito)
         return xs, c, ito, alive
 
     specs = engine.batch_sizes(n_paths, n, d)

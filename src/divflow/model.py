@@ -110,10 +110,15 @@ def drift_b(model: CoefficientModel, x: Array) -> Array:
 def total_drift(model: CoefficientModel, x: Array) -> Array:
     """Drift of the associated diffusion, (-grad U + b) / 2.
 
-    Its finiteness is not checked here: `engine.sweep`, the one caller,
-    raises on the non-finite state a non-finite drift makes.
+    Returns a fresh array, which `engine.sweep` updates in place.  Its
+    finiteness is not checked here: `engine.sweep`, the one caller, raises
+    on the non-finite state a non-finite drift makes.
     """
     x = np.asarray(x, dtype=float)
+    if model.antisym is None:
+        # b = 0 as a scalar, not a zeros array: the same bits, down to the
+        # sign of the zero drift at a critical point of U
+        return 0.5 * (0.0 - model.grad_potential(x))
     return 0.5 * (drift_b(model, x) - model.grad_potential(x))
 
 

@@ -406,6 +406,7 @@ def decay_check(
     inner_paths: int = 100,
     dt: float = 1.0e-2,
     seed: int = 0,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> DecayReport:
     """Nested Monte Carlo for ||P_t f||_{L^2(mu)} over a time grid.
 
@@ -425,7 +426,7 @@ def decay_check(
 
     rep = np.repeat(starts, m, axis=0)
     values = {k: np.empty(n * m) for k in grid_idx}
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, rep, dt, n_steps, seed):
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, rep, dt, n_steps, seed, r_guard):
         if k in values:
             values[k][part] = f.value(x)
 
@@ -498,6 +499,7 @@ def moment_bound_check(
     n_paths: int = 5000,
     dt: float = 1.0e-3,
     seed: int = 0,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> MomentBoundReport:
     """Stopped-moment bound E[(|X(T ^ tau_R)|^2 + 1)^rho] <= C_hat (1 + T).
 
@@ -534,7 +536,7 @@ def moment_bound_check(
     frozen = {r: np.full(n, np.nan) for r in radii}
     stopped = {r: np.zeros(n, dtype=bool) for r in radii}
     final = np.empty((n, d))
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed):
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed, r_guard):
         if k == n_steps:
             final[part] = x
         nrm = np.linalg.norm(x, axis=-1)
@@ -590,6 +592,7 @@ def stationarity_check(
     n_paths: int = 10000,
     dt: float = 5.0e-3,
     seed: int = 0,
+    r_guard: float = engine.DEFAULT_R_GUARD,
 ) -> StationarityReport:
     """With stationary starts, E f(X(t)) is constant in t.
 
@@ -602,7 +605,7 @@ def stationarity_check(
     n_steps = engine.steps_for(t_grid[-1], dt)
     marks = {0, *(engine.steps_for(t, dt) for t in t_grid)}
     values = {(f.name, k): np.empty(n) for f in battery for k in marks}
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed):
+    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed, r_guard):
         if k in marks:
             for f in battery:
                 values[(f.name, k)][part] = f.value(x)

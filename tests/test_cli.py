@@ -466,6 +466,15 @@ def test_control_discrepancy_stops_at_a_guard_exit(tmp_path, radius):
         cli._control_discrepancy(ctx)
 
 
+def test_verify_checks_use_the_configured_guard(tmp_path, capsys):
+    """About 0.3 % of the N(0, 1) starts lie beyond 3, so the first ensemble check stops at step 0."""
+    cfg_path = verify_config(tmp_path, r_guard="3")
+    assert main(["verify", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "integration error at step 0: a path left the radius guard at step 0\n"
+
+
 def test_control_discrepancy_runs_on_a_finer_dt(tmp_path):
     """An auto t0 is a multiple of dt, so the single-path grid must divide dt."""
     ctx = cli._verify_context(parse_config(verify_config(tmp_path, dt=1e-4, ensemble=2000)))
