@@ -174,3 +174,99 @@ def test_sweep_never_mutates_its_inputs_or_what_it_yields(all_problems, kernel, 
     for arrays, saved in zip(yielded, copies):
         for a, b in zip(arrays, saved):
             assert a.tobytes() == b.tobytes()
+
+
+def _rk4_reference(y, dt, a0, a_half, a1, f0=0.0, f_half=0.0, f1=0.0):
+    """rk4_step in plain Python floats, each product summed over k in index order."""
+    arrays = (y, a0, a_half, a1, f0, f_half, f1)
+    batch = np.broadcast_shapes(*(np.shape(v)[:-2] for v in arrays if np.ndim(v)))
+    n, m = a0.shape[-2], y.shape[-1]
+    out = np.empty(batch + (n, m))
+
+    def entries(v, idx):
+        if not np.ndim(v):
+            return [[v] * m for _ in range(n)]
+        return np.broadcast_to(v, batch + v.shape[-2:])[idx].tolist()
+
+    def product(a, b):
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(m):
+                acc = a[i][0] * b[0][j]
+                for k in range(1, len(b)):
+                    acc = acc + a[i][k] * b[k][j]
+                row.append(acc)
+            rows.append(row)
+        return rows
+
+    def combine(fn, *mats):
+        return [[fn(*vals) for vals in zip(*rows)] for rows in zip(*mats)]
+
+    for idx in np.ndindex(*batch):
+        yy, p0, ph, p1, g0, gh, g1 = (entries(v, idx) for v in arrays)
+        k1 = combine(lambda p, g: p + g, product(p0, yy), g0)
+        k2 = combine(lambda p, g: p + g, product(ph, combine(lambda u, k: u + (0.5 * dt) * k, yy, k1)), gh)
+        k3 = combine(lambda p, g: p + g, product(ph, combine(lambda u, k: u + (0.5 * dt) * k, yy, k2)), gh)
+        k4 = combine(lambda p, g: p + g, product(p1, combine(lambda u, k: u + dt * k, yy, k3)), g1)
+        out[idx] = combine(
+            lambda u, q1, q2, q3, q4: u + (dt / 6.0) * (q1 + 2.0 * (q2 + q3) + q4), yy, k1, k2, k3, k4
+        )
+    return out
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("batch", [(), (5,), (4000,)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
+    """Also with a broadcast (1, d, d) A and a transposed, non-contiguous y."""
+    rng = np.random.default_rng(d * 100 + len(batch))
+    y, a0, a_half, a1, f0, f1 = (rng.normal(size=batch + (d, d)) for _ in range(6))
+    forcing = (f0, 0.5 * (f0 + f1), f1) if forced else ()
+    y_t = np.swapaxes(rng.normal(size=batch + (d, d)), -1, -2)
+    assert d == 1 or not y_t.flags.c_contiguous
+    for args in [
+        (y, 0.01, a0, a_half, a1),
+        (y, 0.01, a0.reshape(-1, d, d)[:1], a_half, a1.reshape(-1, d, d)[:1]),
+        (y_t, 0.01, a0, a_half, a1),
+    ]:
+        got = engine.rk4_step(*args, *forcing)
+        ref = _rk4_reference(*args, *forcing)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rk4_step_matches_matmul_in_exact_arithmetic(d):
+    """Small integers and dt = 2^-4: every product and sum is exact, so the order cannot matter."""
+    rng = np.random.default_rng(d)
+    y, a0, a_half, a1, f0, f1 = (rng.integers(-3, 4, size=(50, d, d)).astype(float) for _ in range(6))
+    f_half = 0.5 * (f0 + f1)
+    dt = 2.0**-4
+    k1 = a0 @ y + f0
+    k2 = a_half @ (y + (0.5 * dt) * k1) + f_half
+    k3 = a_half @ (y + (0.5 * dt) * k2) + f_half
+    k4 = a1 @ (y + dt * k3) + f1
+    expected = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    assert engine.rk4_step(y, dt, a0, a_half, a1, f0, f_half, f1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag, r_guard", [("ROT2D", engine.DEFAULT_R_GUARD), ("VARH2D", engine.DEFAULT_R_GUARD), ("VARH2D", 1.2)])
+def test_propagator_does_not_depend_on_the_batch(all_problems, tag, r_guard):
+    """A path's C is the same alone, in a batch of 7 and in a batch of 300."""
+    model = next(p.model for p in all_problems if p.tag == tag)
+    x0 = 0.5 * np.random.default_rng(6).normal(size=(300, 2))
+    increments = engine.increments_block(6, 0, 300, 100, 0.01, 2)
+
+    def propagators(rows):
+        steps = list(engine.propagator_sweep(model, x0[rows], 0.01, increments[rows], r_guard))
+        return np.stack([c for *_, c in steps], axis=1), steps[-1][2]
+
+    whole, alive = propagators(slice(0, 300))
+    if r_guard < engine.DEFAULT_R_GUARD:
+        assert 0 < np.count_nonzero(~alive) < 300 and not alive[:7].all()
+    seven, _ = propagators(slice(0, 7))
+    assert seven.tobytes() == whole[:7].tobytes()
+    for i in (0, 3, 6, 299):
+        alone, _ = propagators(slice(i, i + 1))
+        assert alone.tobytes() == whole[i : i + 1].tobytes()
