@@ -9,6 +9,7 @@ coefficient at the half point.
 """
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
@@ -40,6 +41,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Paths whose states are derived in one vectorised pass; bounds the
 # temporaries next to the noise block.
 _STATE_CHUNK = 1024
+# Doubles in the tile that each path's draws are made in before they are
+# copied into the (step-major) noise block: 512 KiB.
+_TILE_DOUBLES = 2**16
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -104,31 +108,44 @@ def _fill_increments(out: Array, master_seed: int, start_index: int, dt: float) 
     Path p's draws are those of
     `np.random.default_rng(np.random.SeedSequence((master_seed, p))).normal(0, sqrt(dt), ...)`,
     bit for bit: one PCG64 is set to each path's state in turn and fills
-    its row with standard normals, and the block is then scaled once.
-    numpy's `normal` returns 0.0 + scale * z, hence the final + 0.0 (it
-    turns a -0.0 into 0.0).  A single path takes numpy's own seeding
-    (about 15 us), which costs less than the vectorised pass's fixed cost
-    (about 170 us); both give the same stream.
+    its row of a tile with standard normals, and each tile is scaled and
+    copied into out, which may have any layout.  numpy's `normal` returns
+    0.0 + scale * z, hence the + 0.0 (it turns a -0.0 into 0.0).  A single
+    path takes numpy's own seeding (about 15 us), which costs less than the
+    vectorised pass's fixed cost (about 170 us), and is drawn into out[0]
+    directly; both give the same stream.
     """
     master_seed, start_index, n = int(master_seed), int(start_index), out.shape[0]
     if master_seed < 0 or start_index < 0:
         raise ConfigError(f"seed and path index must be nonnegative, got ({master_seed}, {start_index})")
     if start_index + n > 1 << 32:
         raise ConfigError(f"path index {start_index + n - 1} does not fit in 32 bits")
+    scale = np.sqrt(dt)
     if n == 1:
         np.random.default_rng(np.random.SeedSequence((master_seed, start_index))).standard_normal(out=out[0])
-    else:
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-        for chunk in range(0, n, _STATE_CHUNK):
-            states = _pcg64_states(master_seed, start_index + chunk, min(_STATE_CHUNK, n - chunk))
-            for i, (s, inc) in enumerate(states, chunk):
-                state["state"] = {"state": s, "inc": inc}
-                bitgen.state = state
-                gen.standard_normal(out=out[i])
-    out *= np.sqrt(dt)
-    out += 0.0
+        out *= scale
+        out += 0.0
+        return out
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    states = itertools.chain.from_iterable(
+        _pcg64_states(master_seed, start_index + chunk, min(_STATE_CHUNK, n - chunk))
+        for chunk in range(0, n, _STATE_CHUNK)
+    )
+    tile = np.empty((min(n, max(1, _TILE_DOUBLES // max(1, out[0].size))),) + out.shape[1:])
+    # Each step's dim draws move as one item, so that the copy's inner loop
+    # runs along the paths rather than along a short last axis.
+    step = np.dtype((np.void, out.itemsize * out.shape[-1]))
+    for first in range(0, n, tile.shape[0]):
+        part = tile[: n - first]
+        for row, (s, inc) in zip(part, itertools.islice(states, part.shape[0])):
+            state["state"] = {"state": s, "inc": inc}
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        part *= scale
+        part += 0.0
+        out[first : first + part.shape[0]].view(step)[...] = part.view(step)
     return out
 
 
@@ -142,8 +159,13 @@ def normal_increments(
 def increments_block(
     master_seed: int, start_index: int, n_paths: int, count: int, dt: float, dim: int
 ) -> Array:
-    """Increments for paths [start_index, start_index + n_paths), stacked."""
-    return _fill_increments(np.empty((n_paths, count, dim)), master_seed, start_index, dt)
+    """Increments for paths [start_index, start_index + n_paths), stacked.
+
+    The (n_paths, count, dim) result is a view of a step-major block, so
+    each step's row [:, k] is contiguous across the paths.
+    """
+    block = np.empty((count, n_paths, dim))
+    return _fill_increments(block.transpose(1, 0, 2), master_seed, start_index, dt)
 
 
 def batch_sizes(n_paths: int, count: int, dim: int) -> list[tuple[int, int]]:
@@ -179,7 +201,7 @@ def sweep(
     x = np.array(x0, dtype=float, copy=True)
     r2 = float(r_guard) * float(r_guard)
     cap = min(r2, np.finfo(float).max)  # so that an infinite state fails the fast test
-    alive = np.sum(x * x, axis=-1) <= r2
+    alive = _squared_norm(x) <= r2
     everyone = bool(alive.all())
     yield 0, x, alive
     for k in range(1, increments.shape[1] + 1):
@@ -196,7 +218,7 @@ def sweep(
         x_new = drift
         if not everyone:
             x_new = np.where(alive[:, None], x_new, x)
-        sq = np.sum(x_new * x_new, axis=-1)
+        sq = _squared_norm(x_new)
         if not (sq <= cap).all():
             if np.any(alive & ~np.all(np.isfinite(x_new), axis=-1)):
                 raise IntegrationError(
@@ -207,6 +229,14 @@ def sweep(
                 alive, everyone = alive & ~exited, False
         x = x_new
         yield k, x, alive
+
+
+def _squared_norm(x: Array) -> Array:
+    """x[..., 0]^2 + x[..., 1]^2 + ..., added in index order."""
+    sq = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        sq += x[..., i] * x[..., i]
+    return sq
 
 
 def propagator_sweep(
@@ -220,12 +250,14 @@ def propagator_sweep(
 
     Yields (k, x, alive, a, c), where C' = A C, C(0) = I takes one RK4 step
     per Euler step.  Exited paths keep their C and see A at the origin.
-    While every path is alive, no mask is applied.
+    While every path is alive, no mask is applied, and C is a (B, d, d)
+    view of an entry-major (d, d, B) array, the layout `rk4_step` computes in.
     """
     steps = sweep(model, x0, dt, increments, r_guard)
     _, x, alive = next(steps)
     a = curvature_matrix(model, _live(x, alive))
-    c = np.broadcast_to(np.eye(x.shape[-1]), a.shape).copy()
+    d = x.shape[-1]
+    c = np.broadcast_to(np.eye(d)[:, :, None], (d, d, x.shape[0])).copy().transpose(2, 0, 1)
     yield 0, x, alive, a, c
     for k, x, alive_new in steps:
         a_new = curvature_matrix(model, _live(x, alive_new))
@@ -316,11 +348,13 @@ def rk4_step(
     """One classical Runge-Kutta step for dY/dt = A(t) Y + F(t).
 
     A and F are supplied at the step endpoints and midpoint; leading batch
-    axes broadcast as in matmul, and the result is a new C-ordered array.
-    The products A Y are `_product`'s fixed-order sums, so the bits of a
-    path depend neither on the BLAS build nor on the batch it runs in.
-    Y and F are copied entry-major, so that every sum runs over contiguous
-    whole-batch rows; A is only read, through an entry-major view.
+    axes broadcast as in matmul.  The products A Y are `_product`'s
+    fixed-order sums, so the bits of a path depend neither on the BLAS
+    build nor on the batch it runs in.  Y and F are copied entry-major,
+    unless they are already laid out so, so that every sum runs over
+    contiguous whole-batch rows; A is only read, through an entry-major
+    view.  The (..., n, m) result is a view of a new entry-major array:
+    its batch axes are last in memory, and it passes back in without a copy.
     """
     batch_ndim = max(map(np.ndim, (y, a0, a_half, a1, f0, f_half, f1))) - 2
     a0, a_half, a1 = (_entry_major(v, batch_ndim) for v in (a0, a_half, a1))
@@ -332,7 +366,7 @@ def rk4_step(
     k3 = _product(a_half, y + (0.5 * dt) * k2) + f_half
     k4 = _product(a1, y + dt * k3) + f1
     out = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return np.ascontiguousarray(out.transpose(tuple(range(2, out.ndim)) + (0, 1)))
+    return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
 def _entry_major(x, batch_ndim: int) -> Array:

@@ -119,15 +119,22 @@ def flow_summary(
         off, size = spec
         inc = engine.increments_block(seed, off, size, n, dt, d)
         x0 = np.broadcast_to(x, (size, d))
-        ito = np.zeros((size, d))
+        ito = np.zeros((d, size))  # entry-major: ito[j] holds column j of every path
         for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
             if k < n:
-                contrib = np.einsum("bij,bi->bj", c, inc[:, k]) * (1.0 / t_end)
+                # (w^T C)_j = w_0 C_0j + w_1 C_1j + ..., added in index order
+                w = inc[:, k]
+                contrib = np.empty((d, size))
+                for j in range(d):
+                    np.multiply(c[:, 0, j], w[:, 0], out=contrib[j])
+                    for i in range(1, d):
+                        contrib[j] += c[:, i, j] * w[:, i]
+                contrib *= 1.0 / t_end
                 if alive.all():
                     ito += contrib
                 else:
-                    ito = np.where(alive[:, None], ito + contrib, ito)
-        return xs, c, ito, alive
+                    ito = np.where(alive, ito + contrib, ito)
+        return xs, c, ito.T, alive
 
     specs = engine.batch_sizes(n_paths, n, d)
     parts = engine.map_batches(worker, specs, threads)

@@ -103,7 +103,15 @@ def drift_b(model: CoefficientModel, x: Array) -> Array:
     grad_h = model.grad_antisym(x)
     grad_u = model.grad_potential(x)
     h = model.antisym(x)
-    b = np.einsum("...iij->...j", grad_h) - np.einsum("...i,...ij->...j", grad_u, h)
+    # each sum over i added in index order, one batch-wide operation per term
+    b = np.empty(x.shape)
+    for j in range(x.shape[-1]):
+        div_h = grad_h[..., 0, 0, j]
+        u_h = grad_u[..., 0] * h[..., 0, j]
+        for i in range(1, x.shape[-1]):
+            div_h = div_h + grad_h[..., i, i, j]
+            u_h += grad_u[..., i] * h[..., i, j]
+        np.subtract(div_h, u_h, out=b[..., j])
     return _finite_or_raise(b, "drift", x)
 
 

@@ -1,6 +1,8 @@
 """The shared Euler sweep: one radius guard for every path simulation."""
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 import warnings
 import weakref
 
@@ -215,6 +217,11 @@ def _rk4_reference(y, dt, a0, a_half, a1, f0=0.0, f_half=0.0, f1=0.0):
     return out
 
 
+def _batch_axes_last_in_memory(c):
+    """A (..., n, m) array laid out as a C-ordered (n, m, ...) array."""
+    return np.moveaxis(c, (-2, -1), (0, 1)).flags.c_contiguous
+
+
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("batch", [(), (5,), (4000,)])
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -232,7 +239,7 @@ def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
     ]:
         got = engine.rk4_step(*args, *forcing)
         ref = _rk4_reference(*args, *forcing)
-        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.shape == ref.shape and _batch_axes_last_in_memory(got)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -270,3 +277,75 @@ def test_propagator_does_not_depend_on_the_batch(all_problems, tag, r_guard):
     for i in (0, 3, 6, 299):
         alone, _ = propagators(slice(i, i + 1))
         assert alone.tobytes() == whole[i : i + 1].tobytes()
+
+
+def _layout_sensitive_results(problems, ensembles):
+    """Outputs of every consumer of the noise block, as bytes or exact reprs."""
+    rot, varh, dw = problems["ROT2D"].model, problems["VARH2D"].model, problems["DW1D"].model
+    policy = dv.HorizonPolicy(t0=0.5, gamma0=8.0, r=4.0)
+    out = {}
+    for name, model, r_guard in [("ROT2D", rot, engine.DEFAULT_R_GUARD), ("VARH2D", varh, 1.2)]:
+        s = dv.flow_summary(model, [0.3, -0.2], 0.5, 0.01, 200, seed=9, r_guard=r_guard)
+        out[f"flow_summary {name}"] = [a.tobytes() for a in (s.states, s.frechet, s.ito, s.alive)]
+        out[f"exited {name}"] = s.exited_fraction
+    for name, model in [("DW1D", dw), ("VARH2D", varh)]:
+        points = ensembles[name].points[:40]
+        out[f"gronwall {name}"] = repr(dv.gronwall_sweep(model, points, policy, dt=0.01, seed=9))
+        ens = dv.StationaryEnsemble(points, "exact")
+        out[f"trace_moment {name}"] = repr(dv.trace_moment_check(model, ens, policy, dt=0.01, seed=9))
+    for name in ("stationarity", "decay", "moment_bound"):
+        out[name] = repr(_SPLIT[name](dw, ensembles["DW1D"]))
+    increments = engine.increments_block(9, 0, 60, 150, 0.01, 2)
+    states, exit_step = engine.euler_sweep(varh, np.full((60, 2), 0.4), 0.01, increments, r_guard=1.5)
+    out["euler_sweep"] = [states.tobytes(), exit_step.tobytes()]
+    out["euler exits"] = int(np.count_nonzero(exit_step >= 0))
+    return out
+
+
+def test_results_do_not_depend_on_the_noise_layout(all_problems, ensembles, monkeypatch):
+    """The step-major block and a path-major copy of it give the same bits everywhere."""
+    problems = {p.tag: p for p in all_problems}
+    step_major = _layout_sensitive_results(problems, ensembles)
+    assert 0 < step_major["exited VARH2D"] < 1 and step_major["euler exits"] > 0
+    draw = engine.increments_block
+    assert not draw(9, 0, 60, 150, 0.01, 2).flags.c_contiguous
+
+    def path_major(*args):
+        return np.ascontiguousarray(draw(*args))
+
+    monkeypatch.setattr(engine, "increments_block", path_major)
+    assert engine.increments_block(9, 0, 60, 150, 0.01, 2).flags.c_contiguous
+    assert _layout_sensitive_results(problems, ensembles) == step_major
+
+
+def test_noise_steps_and_propagator_entries_are_contiguous_across_paths(rot2d):
+    increments = engine.increments_block(5, 0, 300, 50, 0.01, 2)
+    assert all(increments[:, k].flags.c_contiguous for k in range(50))
+    steps = 0
+    for _, _, alive, _, c in engine.propagator_sweep(rot2d.model, np.zeros((300, 2)), 0.01, increments):
+        assert alive.all() and c.shape == (300, 2, 2) and _batch_axes_last_in_memory(c)
+        steps += 1
+    assert steps == 51
+
+
+@pytest.mark.parametrize("n_paths, count, dim", [(1500, 500, 2), (3000, 5000, 1), (2, 10, 3)])
+def test_noise_block_peak_memory_is_the_block_plus_a_tile(n_paths, count, dim):
+    engine.increments_block(1, 0, 2, 3, 0.1, 1)  # numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        block = engine.increments_block(1, 0, n_paths, count, 0.01, dim)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 1.1 * 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_guard_norm_is_the_old_reduction_bit_for_bit(d):
+    """At random points, at every sign pattern of zero coordinates and at the origin."""
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=d)))
+    mixed = np.array(list(itertools.product([0.0, -0.0, 1.5, -2.5e-160, 3e200], repeat=d)))
+    with np.errstate(over="ignore"):
+        for x in (np.random.default_rng(d).normal(size=(1000, d)), zeros, mixed, np.zeros((1, d))):
+            assert engine._squared_norm(x).tobytes() == np.sum(x * x, axis=-1).tobytes()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -298,3 +299,24 @@ def test_antisym_none_is_bit_identical_to_an_explicit_zero_h(tag, all_problems):
     ours = [c for *_, c in engine.propagator_sweep(model, x0, 1e-3, increments)]
     theirs = [c for *_, c in engine.propagator_sweep(zero_jac, x0, 1e-3, increments)]
     _assert_bits_equal(np.stack(ours), np.stack(theirs))
+
+
+@pytest.mark.parametrize("tag", ["OU1D", "ROT2D", "VARH2D", "DW1D"])
+def test_drift_b_is_the_old_einsum_form_bit_for_bit(tag, all_problems):
+    """At random points, at every sign pattern of zero coordinates and at the origin.
+
+    OU1D and DW1D (H = 0) run with an explicit zero H, so that the sums run.
+    """
+    problem = next(p for p in all_problems if p.tag == tag)
+    model, d = problem.model, problem.dim
+    if model.antisym is None:
+        model = dataclasses.replace(model, antisym=lambda x: np.zeros(np.asarray(x).shape[:-1] + (d, d)))
+
+    def einsum_form(x):
+        grad_h, grad_u, h = model.grad_antisym(x), model.grad_potential(x), model.antisym(x)
+        return np.einsum("...iij->...j", grad_h) - np.einsum("...i,...ij->...j", grad_u, h)
+
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=d)))
+    mixed = np.array(list(itertools.product([0.0, -0.0, 1.5, -2.0], repeat=d)))
+    for x in (random_points(d, 500, seed=3), zeros, mixed, np.zeros((1, d)), np.full(d, -0.7)):
+        assert dv.drift_b(model, x).tobytes() == einsum_form(x).tobytes()

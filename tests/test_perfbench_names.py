@@ -53,23 +53,46 @@ def test_verify_calls_the_functions_that_open_check_spans():
     assert unbound == []
 
 
+def _launch(tmp_path, divflow_args):
+    """Run one divflow command traced through perfbench/launch.py; returns its per-layer metrics."""
+    report, spans = tmp_path / "report.json", tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "perfbench" / "launch.py"), "--report", str(report), "--trace", str(spans)]
+    proc = subprocess.run(cmd + ["--", *divflow_args], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode in (0, 1) and report.exists(), proc.stderr
+    assert json.loads(report.read_text())["code"] == proc.returncode
+    return _tracing().layer_metrics(json.loads(spans.read_text()), 0.0)
+
+
+def test_traced_gradient_gives_the_counts_the_benchmark_pins(tmp_path):
+    """The five ROT2D gradient counts that perfbench/test_perfbench.py asserts."""
+    cfg = tmp_path / "g.ini"
+    cfg.write_text("[problem]\ntag = ROT2D\nh = 1.0\n[simulation]\npaths = 300\n[inequality]\nt0 = 0.5\n")
+    metrics = _launch(
+        tmp_path,
+        ["gradient", "--config", str(cfg), "--out", str(tmp_path / "out"), "--function", "bump0_w1",
+         "--x", "0.2,-0.1", "--threads", "1"],
+    )
+    n, steps = 300, 500  # t0 / dt = 0.5 / 1e-3
+    expected = {
+        "estimator.flow_summary.path_steps": n * steps,
+        "engine.rk4_step.matrix_steps": n * steps,
+        "engine.noise.draws": n * steps * 2,
+        "model.total_drift.points": n * steps,
+        "model.curvature_matrix.points": n * (steps + 1),
+    }
+    assert {name: metrics[name]["value"] for name in expected} == expected
+
+
 def test_traced_verify_counts_the_norms_checks_and_times_every_check(tmp_path):
     paths, ensemble = 200, 500
     cfg = tmp_path / "v.ini"
     cfg.write_text(
         f"[problem]\ntag = OU1D\n[simulation]\npaths = {paths}\n[inequality]\nensemble = {ensemble}\n"
     )
-    report, spans = tmp_path / "report.json", tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    cmd = [sys.executable, str(ROOT / "perfbench" / "launch.py"), "--report", str(report), "--trace", str(spans)]
-    cmd += ["--", "verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode in (0, 1) and report.exists(), proc.stderr
-    assert json.loads(report.read_text())["code"] == proc.returncode
-
+    metrics = _launch(tmp_path, ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
     tracing = _tracing()
-    metrics = tracing.layer_metrics(json.loads(spans.read_text()), 0.0)
     # n x steps from the config and the sizes `cli` gives each check (OU1D, dt = 1e-3).
     expected = {
         "stationarity_check": min(paths, 8000) * round(5.0 / 5.0e-3),
