@@ -217,8 +217,9 @@ def trace_moment_check(
     samples = np.empty(starts.shape[0])
     steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
     for part, (k, _, _, _, c) in steps:
-        # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule
-        integrand = (np.sum(c**2, axis=(-2, -1)) / t0**2) ** (r / 2.0)
+        # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule;
+        # C's squared entries are added in index order, whatever C's layout
+        integrand = (engine._squared_norm(c.reshape(c.shape[0], -1)) / t0**2) ** (r / 2.0)
         integral = integral + 0.5 * (integrand + prev) * dt if k > 0 else np.zeros(integrand.shape)
         prev = integrand
         if k == n0:

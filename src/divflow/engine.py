@@ -252,17 +252,23 @@ def propagator_sweep(
     per Euler step.  Exited paths keep their C and see A at the origin.
     While every path is alive, no mask is applied, and C is a (B, d, d)
     view of an entry-major (d, d, B) array, the layout `rk4_step` computes in.
+    For a model with constant curvature the midpoint matrix is A itself,
+    which (A + A) / 2 equals bit for bit wherever A + A does not overflow.
+    The RK4 stages live in one workspace per sweep, so sweeps on other
+    threads never share it; every yielded C is a fresh array.
     """
     steps = sweep(model, x0, dt, increments, r_guard)
     _, x, alive = next(steps)
     a = curvature_matrix(model, _live(x, alive))
     d = x.shape[-1]
     c = np.broadcast_to(np.eye(d)[:, :, None], (d, d, x.shape[0])).copy().transpose(2, 0, 1)
+    work = _rk4_workspace((d, d, x.shape[0]))
     yield 0, x, alive, a, c
     for k, x, alive_new in steps:
         a_new = curvature_matrix(model, _live(x, alive_new))
+        a_half = a_new if model.constant_curvature else 0.5 * (a + a_new)
         with np.errstate(over="ignore", invalid="ignore"):
-            c_new = rk4_step(c, dt, a, 0.5 * (a + a_new), a_new)
+            c_new = rk4_step(c, dt, a, a_half, a_new, work=work)
         c = c_new if alive.all() else np.where(alive[:, None, None], c_new, c)
         a, alive = a_new, alive_new
         yield k, x, alive, a, c
@@ -335,6 +341,11 @@ def euler_sweep(
     return states, exit_step
 
 
+def _rk4_workspace(shape: tuple[int, ...]) -> Array:
+    """Scratch space for `rk4_step` on entry-major (n, m, *batch) stacks."""
+    return np.empty((5,) + tuple(shape))
+
+
 def rk4_step(
     y: Array,
     dt: float,
@@ -344,6 +355,7 @@ def rk4_step(
     f0: Array | float = 0.0,
     f_half: Array | float = 0.0,
     f1: Array | float = 0.0,
+    work: Array | None = None,
 ) -> Array:
     """One classical Runge-Kutta step for dY/dt = A(t) Y + F(t).
 
@@ -353,19 +365,41 @@ def rk4_step(
     build nor on the batch it runs in.  Y and F are copied entry-major,
     unless they are already laid out so, so that every sum runs over
     contiguous whole-batch rows; A is only read, through an entry-major
-    view.  The (..., n, m) result is a view of a new entry-major array:
-    its batch axes are last in memory, and it passes back in without a copy.
+    view.  The stages k1..k4 and the stage points are formed in place in
+    `work` (from `_rk4_workspace`, allocated here when not given), and every
+    sum keeps the order of y + dt/6 (k1 + 2 (k2 + k3) + k4).  The (..., n, m)
+    result is a view of a new entry-major array: its batch axes are last in
+    memory, and it passes back in without a copy.
     """
     batch_ndim = max(map(np.ndim, (y, a0, a_half, a1, f0, f_half, f1))) - 2
     a0, a_half, a1 = (_entry_major(v, batch_ndim) for v in (a0, a_half, a1))
     y, f0, f_half, f1 = (
         np.ascontiguousarray(_entry_major(v, batch_ndim)) if np.ndim(v) else v for v in (y, f0, f_half, f1)
     )
-    k1 = _product(a0, y) + f0
-    k2 = _product(a_half, y + (0.5 * dt) * k1) + f_half
-    k3 = _product(a_half, y + (0.5 * dt) * k2) + f_half
-    k4 = _product(a1, y + dt * k3) + f1
-    out = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    shape = np.broadcast(y, a0[:, :1], a_half[:, :1], a1[:, :1], f0, f_half, f1).shape  # (n, m, *batch)
+    if work is None:
+        work = _rk4_workspace(shape)
+    k1, k2, k3, z, tmp = work
+    _product(a0, y, k1, tmp)
+    k1 += f0
+    np.multiply(k1, 0.5 * dt, out=z)
+    z += y
+    _product(a_half, z, k2, tmp)
+    k2 += f_half
+    np.multiply(k2, 0.5 * dt, out=z)
+    z += y
+    _product(a_half, z, k3, tmp)
+    k3 += f_half
+    np.multiply(k3, dt, out=z)
+    z += y
+    k2 += k3
+    k4 = _product(a1, z, k3, tmp)
+    k4 += f1
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    out = np.add(y, k2, out=np.empty(shape))
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
@@ -380,20 +414,17 @@ def _entry_major(x, batch_ndim: int) -> Array:
     return x.transpose((batch_ndim, batch_ndim + 1) + tuple(range(batch_ndim)))
 
 
-def _product(a: Array, y: Array) -> Array:
-    """The matrix product of entry-major stacks, (n, l, ...) by (l, m, ...).
+def _product(a: Array, y: Array, out: Array, tmp: Array) -> Array:
+    """The matrix product of entry-major stacks, (n, l, ...) by (l, m, ...), into out.
 
     Entry (i, j) is a[i, 0] y[0, j] + a[i, 1] y[1, j] + ..., each product
-    rounded and added in index order, one whole-batch operation at a time.
+    rounded and added in index order; each term is formed for every entry
+    and path in one operation, in tmp.
     """
-    entries = []
-    for i in range(a.shape[0]):
-        for j in range(y.shape[1]):
-            entry = a[i, 0] * y[0, j]
-            for k in range(1, y.shape[0]):
-                entry += a[i, k] * y[k, j]
-            entries.append(entry)
-    return np.reshape(entries, (a.shape[0], y.shape[1]) + np.shape(entries[0]))
+    np.multiply(a[:, 0, None], y[None, 0], out=out)
+    for k in range(1, y.shape[0]):
+        out += np.multiply(a[:, k, None], y[None, k], out=tmp)
+    return out
 
 
 def trapezoid_prefix(values: Array, dt: float, axis: int = -1) -> Array:

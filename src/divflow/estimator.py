@@ -120,15 +120,15 @@ def flow_summary(
         inc = engine.increments_block(seed, off, size, n, dt, d)
         x0 = np.broadcast_to(x, (size, d))
         ito = np.zeros((d, size))  # entry-major: ito[j] holds column j of every path
+        contrib, product = np.empty((d, size)), np.empty(size)  # refilled every step
         for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
             if k < n:
                 # (w^T C)_j = w_0 C_0j + w_1 C_1j + ..., added in index order
                 w = inc[:, k]
-                contrib = np.empty((d, size))
                 for j in range(d):
-                    np.multiply(c[:, 0, j], w[:, 0], out=contrib[j])
+                    entry = np.multiply(c[:, 0, j], w[:, 0], out=contrib[j])
                     for i in range(1, d):
-                        contrib[j] += c[:, i, j] * w[:, i]
+                        entry += np.multiply(c[:, i, j], w[:, i], out=product)
                 contrib *= 1.0 / t_end
                 if alive.all():
                     ito += contrib

@@ -50,7 +50,9 @@ class CoefficientModel:
     present, returns the Jacobian of b with entries [..., j, j'] = d b_j / d x_j';
     otherwise it is zero when antisym is None (b = 0), and approximated by
     central differences of the drift with step FD_DRIFT_STEP * (1 + |x|)
-    when H is given.
+    when H is given.  constant_curvature declares that the curvature matrix
+    K = (jac b - hess U) / 2 is the same at every point: `curvature_matrix`
+    then evaluates it once, at the origin, and broadcasts it.
     """
 
     dim: int
@@ -61,6 +63,7 @@ class CoefficientModel:
     grad_antisym: Callable[[Array], Array]
     jac_drift: Optional[Callable[[Array], Array]] = None
     name: str = "custom"
+    constant_curvature: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -164,8 +167,16 @@ def jac_drift(model: CoefficientModel, x: Array) -> Array:
 
 
 def curvature_matrix(model: CoefficientModel, x: Array) -> Array:
-    """Curvature matrix K = (-hess U + jac b) / 2, shape (..., d, d)."""
+    """Curvature matrix K = (-hess U + jac b) / 2, shape (..., d, d).
+
+    For a model that declares constant curvature, K is evaluated once, at
+    the origin, and returned as a read-only broadcast view over x's points.
+    """
     x = np.asarray(x, dtype=float)
+    if model.constant_curvature:
+        origin = np.zeros(model.dim)
+        k = _finite_or_raise(0.5 * (jac_drift(model, origin) - model.hess_potential(origin)), "curvature", x)
+        return np.broadcast_to(k, x.shape[:-1] + k.shape)
     k = 0.5 * (jac_drift(model, x) - model.hess_potential(x))
     return _finite_or_raise(k, "curvature", x)
 
@@ -234,12 +245,18 @@ def consistency_report(model: CoefficientModel, points: Array) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _zeros_tensor(d: int):
+def _constant_field(value) -> Callable[[Array], Array]:
+    """A field equal to value at every point, as a read-only broadcast view."""
+    value = np.asarray(value, dtype=float)
+
     def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (d, d, d))
+        return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
     return fn
+
+
+def _zeros_tensor(d: int):
+    return _constant_field(np.zeros((d, d, d)))
 
 
 def _gaussian_sampler(d: int):
@@ -255,10 +272,11 @@ def make_ou1d() -> TestProblem:
         dim=1,
         potential=lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
         grad_potential=lambda x: np.asarray(x, dtype=float),
-        hess_potential=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)),
+        hess_potential=_constant_field(np.eye(1)),
         antisym=None,
         grad_antisym=_zeros_tensor(1),
         name="OU1D",
+        constant_curvature=True,
     )
     return TestProblem(
         tag="OU1D",
@@ -271,24 +289,17 @@ def make_ou1d() -> TestProblem:
 def make_rot2d(h: float = 1.0) -> TestProblem:
     """d = 2, U = |x|^2 / 2 with a constant antisymmetric field of strength h."""
 
-    def antisym(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = h
-        out[..., 1, 0] = -h
-        return out
-
+    antisym = _constant_field([[0.0, h], [-h, 0.0]])
     model = CoefficientModel(
         dim=2,
         potential=lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
         grad_potential=lambda x: np.asarray(x, dtype=float),
-        hess_potential=lambda x: np.broadcast_to(
-            np.eye(2), np.asarray(x).shape[:-1] + (2, 2)
-        ).copy(),
+        hess_potential=_constant_field(np.eye(2)),
         antisym=antisym,
         grad_antisym=_zeros_tensor(2),
         jac_drift=antisym,  # b = -H^T x = H x, so the Jacobian of b is H
         name="ROT2D",
+        constant_curvature=True,
     )
     return TestProblem(
         tag="ROT2D",
@@ -328,9 +339,7 @@ def make_varh2d() -> TestProblem:
         dim=2,
         potential=lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
         grad_potential=lambda x: np.asarray(x, dtype=float),
-        hess_potential=lambda x: np.broadcast_to(
-            np.eye(2), np.asarray(x).shape[:-1] + (2, 2)
-        ).copy(),
+        hess_potential=_constant_field(np.eye(2)),
         antisym=antisym,
         grad_antisym=grad_antisym,
         jac_drift=jac,

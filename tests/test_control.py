@@ -194,3 +194,37 @@ def test_trace_moment_empty_ensemble_rejected(ou1d):
         dv.trace_moment_check(
             ou1d.model, ens, dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0)
         )
+
+
+def test_trace_moment_integrand_does_not_depend_on_the_layout_of_c(monkeypatch):
+    """d = 3: nine entries, where numpy's own reduction order follows the memory order."""
+    # U = |x|^2/2 + x_0^4/4 and a constant H: the curvature, and so C, differs between paths
+    h = np.array([[0.0, 1.3, -0.7], [-1.3, 0.0, 0.4], [0.7, -0.4, 0.0]])
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)).copy()
+        out[..., 0, 0] += 3.0 * x[..., 0] ** 2
+        return out
+
+    model = dv.CoefficientModel(
+        dim=3,
+        potential=lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1) + 0.25 * np.asarray(x)[..., 0] ** 4,
+        grad_potential=lambda x: np.asarray(x, dtype=float) + np.asarray(x)[..., :1] ** 3 * [1.0, 0.0, 0.0],
+        hess_potential=hess,
+        antisym=lambda x: np.broadcast_to(h, np.shape(x)[:-1] + (3, 3)),
+        grad_antisym=lambda x: np.zeros(np.shape(x)[:-1] + (3, 3, 3)),
+        name="QUARTIC3D",
+    )
+    ens = dv.StationaryEnsemble(np.random.default_rng(3).standard_normal((200, 3)), "exact")
+    policy = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=3.0)
+    entry_major = dv.trace_moment_check(model, ens, policy, dt=0.01, seed=4)
+    kernel = dv.engine.propagator_sweep
+
+    def c_ordered(*args, **kwargs):
+        for *head, c in kernel(*args, **kwargs):
+            assert c.shape[1:] == (3, 3)
+            yield (*head, np.ascontiguousarray(c))
+
+    monkeypatch.setattr(dv.engine, "propagator_sweep", c_ordered)
+    assert repr(dv.trace_moment_check(model, ens, policy, dt=0.01, seed=4)) == repr(entry_major)

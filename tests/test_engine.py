@@ -226,17 +226,20 @@ def _batch_axes_last_in_memory(c):
 @pytest.mark.parametrize("batch", [(), (5,), (4000,)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
-    """Also with a broadcast (1, d, d) A and a transposed, non-contiguous y."""
+    """Also with a broadcast (1, d, d) A, a transposed, non-contiguous y and a d x 1 y."""
     rng = np.random.default_rng(d * 100 + len(batch))
     y, a0, a_half, a1, f0, f1 = (rng.normal(size=batch + (d, d)) for _ in range(6))
     forcing = (f0, 0.5 * (f0 + f1), f1) if forced else ()
     y_t = np.swapaxes(rng.normal(size=batch + (d, d)), -1, -2)
     assert d == 1 or not y_t.flags.c_contiguous
-    for args in [
+    cases = [
         (y, 0.01, a0, a_half, a1),
         (y, 0.01, a0.reshape(-1, d, d)[:1], a_half, a1.reshape(-1, d, d)[:1]),
         (y_t, 0.01, a0, a_half, a1),
-    ]:
+    ]
+    if not forced:
+        cases.append((y[..., :1], 0.01, a0, a_half, a1))
+    for args in cases:
         got = engine.rk4_step(*args, *forcing)
         ref = _rk4_reference(*args, *forcing)
         assert got.shape == ref.shape and _batch_axes_last_in_memory(got)
@@ -277,6 +280,25 @@ def test_propagator_does_not_depend_on_the_batch(all_problems, tag, r_guard):
     for i in (0, 3, 6, 299):
         alone, _ = propagators(slice(i, i + 1))
         assert alone.tobytes() == whole[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("tag", ["ROT2D", "VARH2D"])
+def test_each_propagator_sweep_has_its_own_workspace(all_problems, tag):
+    """Two sweeps advanced in turn yield the C bytes each yields alone, and keep them.
+
+    On ROT2D C is the same on every path, so there the two sweeps agree.
+    """
+    model = next(p.model for p in all_problems if p.tag == tag)
+    runs = [
+        (0.5 * np.random.default_rng(seed).normal(size=(50, 2)), engine.increments_block(seed, 0, 50, 80, 0.01, 2))
+        for seed in (12, 13)
+    ]
+    alone = [[c.tobytes() for *_, c in engine.propagator_sweep(model, x0, 0.01, inc)] for x0, inc in runs]
+    assert model.constant_curvature or alone[0] != alone[1]
+    kept = list(zip(*(engine.propagator_sweep(model, x0, 0.01, inc) for x0, inc in runs)))
+    assert len(kept) == 81
+    for k, pair in enumerate(kept):
+        assert [item[-1].tobytes() for item in pair] == [alone[0][k], alone[1][k]]
 
 
 def _layout_sensitive_results(problems, ensembles):

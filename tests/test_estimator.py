@@ -183,12 +183,13 @@ def test_estimators_reject_empty_path_count(ou1d):
         dv.flow_summary(ou1d.model, [0.0], 1.0, 1e-3, 0)
 
 
-def test_threaded_batches_match_serial(ou1d):
-    serial = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30)
-    threaded = dv.flow_summary(ou1d.model, [0.3], 0.5, 1e-3, 40_000, seed=30, threads=4)
-    assert_allclose(serial.states, threaded.states, atol=0)
-    assert_allclose(serial.frechet, threaded.frechet, atol=0)
-    assert_allclose(serial.ito, threaded.ito, atol=0)
+def test_threaded_batches_match_serial(ou1d, rot2d):
+    for model, x, n_paths in ((ou1d.model, [0.3], 40_000), (rot2d.model, [0.3, -0.1], 20_000)):
+        assert len(dv.engine.batch_sizes(n_paths, 500, model.dim)) > 1
+        serial = dv.flow_summary(model, x, 0.5, 1e-3, n_paths, seed=30)
+        threaded = dv.flow_summary(model, x, 0.5, 1e-3, n_paths, seed=30, threads=4)
+        for name in ("states", "frechet", "ito", "alive"):
+            assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes()
 
 
 def test_fused_kernel_matches_per_path_reference(ou1d, dw1d):

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import divflow as dv
 from divflow import engine, norms
+from divflow.model import jac_drift
 
 from conftest import random_points
 
@@ -320,3 +321,55 @@ def test_drift_b_is_the_old_einsum_form_bit_for_bit(tag, all_problems):
     mixed = np.array(list(itertools.product([0.0, -0.0, 1.5, -2.0], repeat=d)))
     for x in (random_points(d, 500, seed=3), zeros, mixed, np.zeros((1, d)), np.full(d, -0.7)):
         assert dv.drift_b(model, x).tobytes() == einsum_form(x).tobytes()
+
+
+@pytest.mark.parametrize("problem", [dv.make_ou1d(), dv.make_rot2d(1.0), dv.make_rot2d(0.0), dv.make_rot2d(-2.5)],
+                         ids=["OU1D", "ROT2D-1", "ROT2D-0", "ROT2D-neg2.5"])
+def test_declared_constant_curvature_is_the_pointwise_form_bit_for_bit(problem):
+    """At random points and at every sign pattern of zero coordinates."""
+    model, d = problem.model, problem.dim
+    assert model.constant_curvature
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=d)))
+    for x in (random_points(d, 500, seed=8), zeros, np.full(d, -0.7)):
+        pointwise = 0.5 * (jac_drift(model, x) - model.hess_potential(x))
+        got = dv.curvature_matrix(model, x)
+        assert got.shape == pointwise.shape and got.tobytes() == pointwise.tobytes()
+        assert not got.flags.writeable
+
+
+def test_curvature_is_declared_constant_only_where_it_is():
+    assert not dv.make_varh2d().model.constant_curvature
+    assert not dv.make_dw1d().model.constant_curvature
+
+
+def _read_only_outputs(model):
+    """model with every coefficient callable returning a read-only copy of its output."""
+
+    def read_only(fn):
+        def wrapped(x):
+            out = np.array(fn(x), dtype=float)
+            out.flags.writeable = False
+            return out
+
+        return None if fn is None else wrapped
+
+    names = ("potential", "grad_potential", "hess_potential", "antisym", "grad_antisym", "jac_drift")
+    return dataclasses.replace(model, **{name: read_only(getattr(model, name)) for name in names})
+
+
+@pytest.mark.parametrize("tag", ["OU1D", "ROT2D", "VARH2D", "DW1D"])
+def test_nothing_writes_into_coefficient_outputs(tag, all_problems):
+    """The built-ins may return read-only views, so every consumer must only read."""
+    problem = next(p for p in all_problems if p.tag == tag)
+    model, d = _read_only_outputs(problem.model), problem.dim
+    pts = random_points(d, 300, seed=14)
+    dv.total_drift(model, pts)
+    dv.curvature_matrix(model, pts)
+    dv.consistency_report(model, pts)
+    ens = dv.StationaryEnsemble(pts, "exact")
+    profiles = [dv.norm_profile(model, f, ens, 2.0, 4.0) for f in dv.battery_for(problem)[:3]]
+    dv.check_hessian_inequality(model, profiles, 2.0, 4.0, ens)
+    summary = dv.flow_summary(model, np.full(d, 0.3), 0.5, 0.01, 40, seed=14, r_guard=1.2)
+    assert 0 < summary.exited_fraction < 1
+    increments = engine.increments_block(14, 0, 40, 50, 0.01, d)
+    engine.euler_sweep(model, np.full((40, d), 0.3), 0.01, increments, r_guard=1.2)
