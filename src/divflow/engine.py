@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, IntegrationError
-from .model import CoefficientModel, curvature_matrix, total_drift
+from .model import CoefficientModel, constant_curvature, curvature_matrix, total_drift
 
 
 Array = np.ndarray
@@ -252,23 +252,23 @@ def propagator_sweep(
     per Euler step.  Exited paths keep their C and see A at the origin.
     While every path is alive, no mask is applied, and C is a (B, d, d)
     view of an entry-major (d, d, B) array, the layout `rk4_step` computes in.
-    For a model with constant curvature the midpoint matrix is A itself,
-    which (A + A) / 2 equals bit for bit wherever A + A does not overflow.
-    The RK4 stages live in one workspace per sweep, so sweeps on other
-    threads never share it; every yielded C is a fresh array.
+    Where `constant_curvature` finds K, the midpoint matrix is A itself,
+    which (A + A) / 2 equals bit for bit wherever A + A does not overflow;
+    that saves forming a whole-batch midpoint at every step.  Every
+    yielded C is a fresh array.
     """
     steps = sweep(model, x0, dt, increments, r_guard)
     _, x, alive = next(steps)
     a = curvature_matrix(model, _live(x, alive))
     d = x.shape[-1]
     c = np.broadcast_to(np.eye(d)[:, :, None], (d, d, x.shape[0])).copy().transpose(2, 0, 1)
-    work = _rk4_workspace((d, d, x.shape[0]))
+    constant = constant_curvature(model) is not None
     yield 0, x, alive, a, c
     for k, x, alive_new in steps:
         a_new = curvature_matrix(model, _live(x, alive_new))
-        a_half = a_new if model.constant_curvature else 0.5 * (a + a_new)
+        a_half = a_new if constant else 0.5 * (a + a_new)
         with np.errstate(over="ignore", invalid="ignore"):
-            c_new = rk4_step(c, dt, a, a_half, a_new, work=work)
+            c_new = rk4_step(c, dt, a, a_half, a_new)
         c = c_new if alive.all() else np.where(alive[:, None, None], c_new, c)
         a, alive = a_new, alive_new
         yield k, x, alive, a, c
@@ -341,11 +341,6 @@ def euler_sweep(
     return states, exit_step
 
 
-def _rk4_workspace(shape: tuple[int, ...]) -> Array:
-    """Scratch space for `rk4_step` on entry-major (n, m, *batch) stacks."""
-    return np.empty((5,) + tuple(shape))
-
-
 def rk4_step(
     y: Array,
     dt: float,
@@ -355,7 +350,6 @@ def rk4_step(
     f0: Array | float = 0.0,
     f_half: Array | float = 0.0,
     f1: Array | float = 0.0,
-    work: Array | None = None,
 ) -> Array:
     """One classical Runge-Kutta step for dY/dt = A(t) Y + F(t).
 
@@ -366,10 +360,10 @@ def rk4_step(
     unless they are already laid out so, so that every sum runs over
     contiguous whole-batch rows; A is only read, through an entry-major
     view.  The stages k1..k4 and the stage points are formed in place in
-    `work` (from `_rk4_workspace`, allocated here when not given), and every
-    sum keeps the order of y + dt/6 (k1 + 2 (k2 + k3) + k4).  The (..., n, m)
-    result is a view of a new entry-major array: its batch axes are last in
-    memory, and it passes back in without a copy.
+    one scratch array, and every sum keeps the order of
+    y + dt/6 (k1 + 2 (k2 + k3) + k4).  The (..., n, m) result is a view of
+    a new entry-major array: its batch axes are last in memory, and it
+    passes back in without a copy.
     """
     batch_ndim = max(map(np.ndim, (y, a0, a_half, a1, f0, f_half, f1))) - 2
     a0, a_half, a1 = (_entry_major(v, batch_ndim) for v in (a0, a_half, a1))
@@ -377,9 +371,7 @@ def rk4_step(
         np.ascontiguousarray(_entry_major(v, batch_ndim)) if np.ndim(v) else v for v in (y, f0, f_half, f1)
     )
     shape = np.broadcast(y, a0[:, :1], a_half[:, :1], a1[:, :1], f0, f_half, f1).shape  # (n, m, *batch)
-    if work is None:
-        work = _rk4_workspace(shape)
-    k1, k2, k3, z, tmp = work
+    k1, k2, k3, z, tmp = np.empty((5,) + shape)
     _product(a0, y, k1, tmp)
     k1 += f0
     np.multiply(k1, 0.5 * dt, out=z)
@@ -399,7 +391,7 @@ def rk4_step(
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    out = np.add(y, k2, out=np.empty(shape))
+    out = y + k2
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 

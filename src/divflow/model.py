@@ -50,9 +50,7 @@ class CoefficientModel:
     present, returns the Jacobian of b with entries [..., j, j'] = d b_j / d x_j';
     otherwise it is zero when antisym is None (b = 0), and approximated by
     central differences of the drift with step FD_DRIFT_STEP * (1 + |x|)
-    when H is given.  constant_curvature declares that the curvature matrix
-    K = (jac b - hess U) / 2 is the same at every point: `curvature_matrix`
-    then evaluates it once, at the origin, and broadcasts it.
+    when H is given.
     """
 
     dim: int
@@ -63,7 +61,6 @@ class CoefficientModel:
     grad_antisym: Callable[[Array], Array]
     jac_drift: Optional[Callable[[Array], Array]] = None
     name: str = "custom"
-    constant_curvature: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -166,17 +163,32 @@ def jac_drift(model: CoefficientModel, x: Array) -> Array:
     return _fd_jac_drift(model, x)
 
 
+def constant_curvature(model: CoefficientModel) -> Optional[Array]:
+    """K as one (d, d) matrix when hess U and jac b are constant fields, else None.
+
+    A field is constant when it comes from `_constant_field`; jac b is also
+    constant when the model has neither jac_drift nor H (b = 0).
+    """
+    hess = getattr(model.hess_potential, "constant_value", None)
+    if model.jac_drift is not None:
+        jac = getattr(model.jac_drift, "constant_value", None)
+    else:
+        jac = np.zeros((model.dim, model.dim)) if model.antisym is None else None
+    if hess is None or jac is None:
+        return None
+    return 0.5 * (jac - hess)
+
+
 def curvature_matrix(model: CoefficientModel, x: Array) -> Array:
     """Curvature matrix K = (-hess U + jac b) / 2, shape (..., d, d).
 
-    For a model that declares constant curvature, K is evaluated once, at
-    the origin, and returned as a read-only broadcast view over x's points.
+    Where `constant_curvature` finds K, it is returned as a read-only view
+    broadcast over x's points, with the bits of the pointwise form.
     """
     x = np.asarray(x, dtype=float)
-    if model.constant_curvature:
-        origin = np.zeros(model.dim)
-        k = _finite_or_raise(0.5 * (jac_drift(model, origin) - model.hess_potential(origin)), "curvature", x)
-        return np.broadcast_to(k, x.shape[:-1] + k.shape)
+    k = constant_curvature(model)
+    if k is not None:
+        return np.broadcast_to(_finite_or_raise(k, "curvature", x), x.shape[:-1] + k.shape)
     k = 0.5 * (jac_drift(model, x) - model.hess_potential(x))
     return _finite_or_raise(k, "curvature", x)
 
@@ -246,12 +258,18 @@ def consistency_report(model: CoefficientModel, points: Array) -> dict:
 
 
 def _constant_field(value) -> Callable[[Array], Array]:
-    """A field equal to value at every point, as a read-only broadcast view."""
-    value = np.asarray(value, dtype=float)
+    """A field equal to value at every point, as a read-only broadcast view.
+
+    The field carries its value as `constant_value`, which
+    `constant_curvature` reads.
+    """
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
 
     def fn(x):
         return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
+    fn.constant_value = value
     return fn
 
 
@@ -276,7 +294,6 @@ def make_ou1d() -> TestProblem:
         antisym=None,
         grad_antisym=_zeros_tensor(1),
         name="OU1D",
-        constant_curvature=True,
     )
     return TestProblem(
         tag="OU1D",
@@ -299,7 +316,6 @@ def make_rot2d(h: float = 1.0) -> TestProblem:
         grad_antisym=_zeros_tensor(2),
         jac_drift=antisym,  # b = -H^T x = H x, so the Jacobian of b is H
         name="ROT2D",
-        constant_curvature=True,
     )
     return TestProblem(
         tag="ROT2D",

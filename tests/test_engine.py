@@ -1,6 +1,7 @@
 """The shared Euler sweep: one radius guard for every path simulation."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from numpy.testing import assert_array_equal
 
 import divflow as dv
 from divflow import engine
+from divflow.model import constant_curvature
 
 # DW1D started at x = 3 with dt = 0.5 explodes within a horizon of 2.
 _POLICY = dv.HorizonPolicy(t0=2.0, gamma0=8.0, r=4.0)
@@ -282,8 +284,27 @@ def test_propagator_does_not_depend_on_the_batch(all_problems, tag, r_guard):
         assert alone.tobytes() == whole[i : i + 1].tobytes()
 
 
+@pytest.mark.parametrize("tag, r_guard", [("OU1D", 1.0), ("ROT2D", 1.2)])
+def test_constant_curvature_sweep_is_the_pointwise_sweep_bit_for_bit(all_problems, tag, r_guard):
+    """The shared K and the midpoint A give the C of the per-point K and (A + A) / 2.
+
+    The same model with its Hessian as a plain function is not found
+    constant, so it takes the pointwise route; paths exit on the way.
+    """
+    problem = next(p for p in all_problems if p.tag == tag)
+    model, d = problem.model, problem.dim
+    pointwise = dataclasses.replace(model, hess_potential=lambda x: np.array(model.hess_potential(x)))
+    assert constant_curvature(model) is not None and constant_curvature(pointwise) is None
+    x0 = 0.6 * np.random.default_rng(15).normal(size=(200, d))
+    increments = engine.increments_block(15, 0, 200, 120, 0.01, d)
+    runs = [list(engine.propagator_sweep(m, x0, 0.01, increments, r_guard)) for m in (model, pointwise)]
+    assert 0 < np.count_nonzero(~runs[0][-1][2]) < 200
+    for ours, theirs in zip(*runs):
+        assert ours[3].tobytes() == theirs[3].tobytes() and ours[4].tobytes() == theirs[4].tobytes()
+
+
 @pytest.mark.parametrize("tag", ["ROT2D", "VARH2D"])
-def test_each_propagator_sweep_has_its_own_workspace(all_problems, tag):
+def test_interleaved_propagator_sweeps_keep_their_bytes(all_problems, tag):
     """Two sweeps advanced in turn yield the C bytes each yields alone, and keep them.
 
     On ROT2D C is the same on every path, so there the two sweeps agree.
@@ -294,7 +315,7 @@ def test_each_propagator_sweep_has_its_own_workspace(all_problems, tag):
         for seed in (12, 13)
     ]
     alone = [[c.tobytes() for *_, c in engine.propagator_sweep(model, x0, 0.01, inc)] for x0, inc in runs]
-    assert model.constant_curvature or alone[0] != alone[1]
+    assert tag == "ROT2D" or alone[0] != alone[1]
     kept = list(zip(*(engine.propagator_sweep(model, x0, 0.01, inc) for x0, inc in runs)))
     assert len(kept) == 81
     for k, pair in enumerate(kept):

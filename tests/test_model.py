@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import divflow as dv
 from divflow import engine, norms
-from divflow.model import jac_drift
+from divflow.model import constant_curvature, jac_drift
 
 from conftest import random_points
 
@@ -325,10 +326,10 @@ def test_drift_b_is_the_old_einsum_form_bit_for_bit(tag, all_problems):
 
 @pytest.mark.parametrize("problem", [dv.make_ou1d(), dv.make_rot2d(1.0), dv.make_rot2d(0.0), dv.make_rot2d(-2.5)],
                          ids=["OU1D", "ROT2D-1", "ROT2D-0", "ROT2D-neg2.5"])
-def test_declared_constant_curvature_is_the_pointwise_form_bit_for_bit(problem):
+def test_constant_curvature_is_the_pointwise_form_bit_for_bit(problem):
     """At random points and at every sign pattern of zero coordinates."""
     model, d = problem.model, problem.dim
-    assert model.constant_curvature
+    assert constant_curvature(model) is not None
     zeros = np.array(list(itertools.product([0.0, -0.0], repeat=d)))
     for x in (random_points(d, 500, seed=8), zeros, np.full(d, -0.7)):
         pointwise = 0.5 * (jac_drift(model, x) - model.hess_potential(x))
@@ -337,21 +338,40 @@ def test_declared_constant_curvature_is_the_pointwise_form_bit_for_bit(problem):
         assert not got.flags.writeable
 
 
-def test_curvature_is_declared_constant_only_where_it_is():
-    assert not dv.make_varh2d().model.constant_curvature
-    assert not dv.make_dw1d().model.constant_curvature
+def test_curvature_is_constant_only_where_both_fields_are():
+    """Only fields built as constants count; a constant Hessian beside a varying jac b does not."""
+    assert constant_curvature(dv.make_varh2d().model) is None
+    assert constant_curvature(dv.make_dw1d().model) is None
+    rot = dv.make_rot2d(1.0).model
+    swirl = lambda x: np.asarray(x)[..., 0, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])  # noqa: E731
+    plain_hess = lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))  # noqa: E731
+    for model in (
+        dataclasses.replace(rot, jac_drift=swirl),  # K varies with x_0
+        dataclasses.replace(rot, jac_drift=None),  # finite differences of the drift
+        dataclasses.replace(rot, hess_potential=plain_hess),  # constant, but not built as one
+    ):
+        assert constant_curvature(model) is None
+    varying = dataclasses.replace(rot, jac_drift=swirl)
+    x = np.array([[0.0, 0.0], [2.0, 0.0]])
+    k = dv.curvature_matrix(varying, x)
+    assert k[0].tobytes() != k[1].tobytes()
+    assert k.tobytes() == (0.5 * (swirl(x) - rot.hess_potential(x))).tobytes()
 
 
 def _read_only_outputs(model):
     """model with every coefficient callable returning a read-only copy of its output."""
 
     def read_only(fn):
+        if fn is None:
+            return None
+
+        @functools.wraps(fn)  # keeps a constant field's constant_value
         def wrapped(x):
             out = np.array(fn(x), dtype=float)
             out.flags.writeable = False
             return out
 
-        return None if fn is None else wrapped
+        return wrapped
 
     names = ("potential", "grad_potential", "hess_potential", "antisym", "grad_antisym", "jac_drift")
     return dataclasses.replace(model, **{name: read_only(getattr(model, name)) for name in names})
