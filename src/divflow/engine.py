@@ -371,22 +371,32 @@ def rk4_step(
         np.ascontiguousarray(_entry_major(v, batch_ndim)) if np.ndim(v) else v for v in (y, f0, f_half, f1)
     )
     shape = np.broadcast(y, a0[:, :1], a_half[:, :1], a1[:, :1], f0, f_half, f1).shape  # (n, m, *batch)
+    # Unforced, adding +0.0 to each stage only turns -0.0 into +0.0.  For
+    # dt > 0, adding it once to y gives the same bits of every stage point
+    # and of the result, in one pass instead of four.
+    forced = not all(np.ndim(f) == 0 and f == 0.0 and not np.signbit(f) for f in (f0, f_half, f1))
+    if not forced:
+        y = y + 0.0
     k1, k2, k3, z, tmp = np.empty((5,) + shape)
     _product(a0, y, k1, tmp)
-    k1 += f0
+    if forced:
+        k1 += f0
     np.multiply(k1, 0.5 * dt, out=z)
     z += y
     _product(a_half, z, k2, tmp)
-    k2 += f_half
+    if forced:
+        k2 += f_half
     np.multiply(k2, 0.5 * dt, out=z)
     z += y
     _product(a_half, z, k3, tmp)
-    k3 += f_half
+    if forced:
+        k3 += f_half
     np.multiply(k3, dt, out=z)
     z += y
     k2 += k3
     k4 = _product(a1, z, k3, tmp)
-    k4 += f1
+    if forced:
+        k4 += f1
     k2 *= 2.0
     k2 += k1
     k2 += k4

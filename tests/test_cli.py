@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -493,3 +495,54 @@ def test_coefficients_check_fails_on_a_wrong_h_declaration():
         res = cli._coefficients(SimpleNamespace(model=wrong, ensemble=ensemble))
         assert not res.passed
         assert res.report["grad_antisym_fd_max_dev"] > 1.0e-6
+
+
+def _mpmath_mu_mean_1d(f_value, center: float, width: float, coordinate: bool):
+    """E_mu f on DW1D, U = (x^2 - 1)^2, by 30-digit quadrature split at the bump's support ends."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        dens = lambda s: mpmath.exp(-((s * s - 1) ** 2))
+        lo, hi = mpmath.mpf(center) - width, mpmath.mpf(center) + width
+
+        def integrand(s):
+            z = (s - center) / width
+            sigma = mpmath.exp(1 / (z * z - 1)) if abs(z) < 1 else mpmath.mpf(0)
+            return (s if coordinate else 1) * sigma * dens(s)
+
+        # The reference is the battery function itself, to the last bits.
+        for s in (lo + 0.3 * width, mpmath.mpf(center), hi - 0.1 * width):
+            assert abs(float(integrand(s) / dens(s)) - float(f_value(np.array([[float(s)]]))[0])) < 1.0e-15
+        num = mpmath.quad(integrand, [lo, center, hi])
+        z = mpmath.quad(dens, [-mpmath.inf, -1, 0, 1, mpmath.inf])
+        return float(num / z)
+
+
+def test_mu_mean_1d_matches_a_30_digit_reference_on_the_dw1d_battery():
+    """The trapezoid rule on [-12, 12] is within 1e-14 of mpmath on all 12 DW1D functions."""
+    problem = dv.make_problem("DW1D")
+    centers = {"0": 0.0, "1": 1.0, "2": -1.0}
+    battery = dv.battery_for(problem)
+    assert len(battery) == 12
+    for f in battery:
+        kind, width = f.name.split("_")[:2]
+        coordinate = kind.startswith("x")
+        reference = _mpmath_mu_mean_1d(f.value, centers[kind[-1]], float(width[1:]), coordinate)
+        assert abs(cli._mu_mean_1d(problem, f) - reference) < 1.0e-14, f.name
+
+
+def test_verify_dw1d_imports_no_scipy(tmp_path):
+    """verify needs numpy alone.  A fresh process, since this one has scipy through other tests."""
+    cfg_path = verify_config(tmp_path, tag="DW1D", paths=200, ensemble=500)
+    script = (
+        "import sys\n"
+        "from divflow.cli import main\n"
+        f"code = main(['verify', '--config', {str(cfg_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode in (EXIT_OK, EXIT_CHECK_FAILED), proc.stderr
+    assert "| decay |" in read(tmp_path / "out" / "report.md")
+    assert proc.stdout.splitlines()[-1] == "[]"

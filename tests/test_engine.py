@@ -228,7 +228,7 @@ def _batch_axes_last_in_memory(c):
 @pytest.mark.parametrize("batch", [(), (5,), (4000,)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
-    """Also with a broadcast (1, d, d) A, a transposed, non-contiguous y and a d x 1 y."""
+    """Also with a broadcast (1, d, d) A, a transposed, non-contiguous y, a d x 1 y and signed zeros."""
     rng = np.random.default_rng(d * 100 + len(batch))
     y, a0, a_half, a1, f0, f1 = (rng.normal(size=batch + (d, d)) for _ in range(6))
     forcing = (f0, 0.5 * (f0 + f1), f1) if forced else ()
@@ -241,6 +241,16 @@ def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
     ]
     if not forced:
         cases.append((y[..., :1], 0.01, a0, a_half, a1))
+        if batch in ((), (5,)):
+            # Signed zeros: +-0.0 in y, zero and negative entries in A, so some products are -0.0.
+            y0, a00, a0h, a01 = (rng.choice([0.0, -0.0, -1.5, 2.0], size=batch + (d, d)) for _ in range(4))
+            y0[..., 0, :] = np.copysign(0.0, rng.choice([1.0, -1.0], size=batch + (d,)))
+            neg = np.full_like(y, -0.0)  # with a positive A, every stage and the sum stay -0.0
+            cases += [
+                (y0, 0.01, a00, a0h, a01),
+                (y0, 0.01, -np.abs(a00), a0h, a01),
+                (neg, 0.01, np.abs(a00) + 1.0, np.abs(a0h) + 1.0, np.abs(a01) + 1.0),
+            ]
     for args in cases:
         got = engine.rk4_step(*args, *forcing)
         ref = _rk4_reference(*args, *forcing)
