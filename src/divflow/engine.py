@@ -373,11 +373,13 @@ def rk4_step(
     shape = np.broadcast(y, a0[:, :1], a_half[:, :1], a1[:, :1], f0, f_half, f1).shape  # (n, m, *batch)
     # Unforced, adding +0.0 to each stage only turns -0.0 into +0.0.  For
     # dt > 0, adding it once to y gives the same bits of every stage point
-    # and of the result, in one pass instead of four.
+    # and of the result, in one pass instead of four.  That copy of y, made
+    # after the scratch array as a forced step's result is, then takes the
+    # result, so both steps allocate alike.
     forced = not all(np.ndim(f) == 0 and f == 0.0 and not np.signbit(f) for f in (f0, f_half, f1))
+    k1, k2, k3, z, tmp = np.empty((5,) + shape)
     if not forced:
         y = y + 0.0
-    k1, k2, k3, z, tmp = np.empty((5,) + shape)
     _product(a0, y, k1, tmp)
     if forced:
         k1 += f0
@@ -401,7 +403,7 @@ def rk4_step(
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    out = y + k2
+    out = np.add(y, k2, out=None if forced else y)
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
