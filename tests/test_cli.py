@@ -509,7 +509,7 @@ def _mpmath_mu_mean_1d(f_value, center: float, width: float, coordinate: bool):
             sigma = mpmath.exp(1 / (z * z - 1)) if abs(z) < 1 else mpmath.mpf(0)
             return (s if coordinate else 1) * sigma * dens(s)
 
-        # The reference is the battery function itself, to the last bits.
+        # The integrand is the battery function itself.
         for s in (lo + 0.3 * width, mpmath.mpf(center), hi - 0.1 * width):
             assert abs(float(integrand(s) / dens(s)) - float(f_value(np.array([[float(s)]]))[0])) < 1.0e-15
         num = mpmath.quad(integrand, [lo, center, hi])
