@@ -371,39 +371,27 @@ def rk4_step(
         np.ascontiguousarray(_entry_major(v, batch_ndim)) if np.ndim(v) else v for v in (y, f0, f_half, f1)
     )
     shape = np.broadcast(y, a0[:, :1], a_half[:, :1], a1[:, :1], f0, f_half, f1).shape  # (n, m, *batch)
-    # Unforced, adding +0.0 to each stage only turns -0.0 into +0.0.  For
-    # dt > 0, adding it once to y gives the same bits of every stage point
-    # and of the result, in one pass instead of four.  That copy of y, made
-    # after the scratch array as a forced step's result is, then takes the
-    # result, so both steps allocate alike.
-    forced = not all(np.ndim(f) == 0 and f == 0.0 and not np.signbit(f) for f in (f0, f_half, f1))
     k1, k2, k3, z, tmp = np.empty((5,) + shape)
-    if not forced:
-        y = y + 0.0
     _product(a0, y, k1, tmp)
-    if forced:
-        k1 += f0
+    k1 += f0
     np.multiply(k1, 0.5 * dt, out=z)
     z += y
     _product(a_half, z, k2, tmp)
-    if forced:
-        k2 += f_half
+    k2 += f_half
     np.multiply(k2, 0.5 * dt, out=z)
     z += y
     _product(a_half, z, k3, tmp)
-    if forced:
-        k3 += f_half
+    k3 += f_half
     np.multiply(k3, dt, out=z)
     z += y
     k2 += k3
     k4 = _product(a1, z, k3, tmp)
-    if forced:
-        k4 += f1
+    k4 += f1
     k2 *= 2.0
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    out = np.add(y, k2, out=None if forced else y)
+    out = y + k2
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 

@@ -228,7 +228,7 @@ def _batch_axes_last_in_memory(c):
 @pytest.mark.parametrize("batch", [(), (5,), (4000,)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
-    """Also with a broadcast (1, d, d) A, a transposed, non-contiguous y, a d x 1 y and signed zeros."""
+    """Also with a broadcast (1, d, d) A, an unbatched y, a transposed, non-contiguous y, a d x 1 y and signed zeros."""
     rng = np.random.default_rng(d * 100 + len(batch))
     y, a0, a_half, a1, f0, f1 = (rng.normal(size=batch + (d, d)) for _ in range(6))
     forcing = (f0, 0.5 * (f0 + f1), f1) if forced else ()
@@ -239,6 +239,8 @@ def test_rk4_step_is_the_fixed_order_sum_bit_for_bit(d, batch, forced):
         (y, 0.01, a0.reshape(-1, d, d)[:1], a_half, a1.reshape(-1, d, d)[:1]),
         (y_t, 0.01, a0, a_half, a1),
     ]
+    if batch:
+        cases.append((y[0], 0.01, a0, a_half, a1))  # one y for the whole batch of A
     if not forced:
         cases.append((y[..., :1], 0.01, a0, a_half, a1))
         if batch in ((), (5,)):
