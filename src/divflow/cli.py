@@ -118,8 +118,11 @@ _SEED_TAGS = {
 }
 
 
+_NUM = "%.12g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return _NUM % value
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,8 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
     ensemble = sample_stationary(problem, config.paths, config.seed + _SEED_TAGS["simulate"])
     columns = ",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["exited"])
-    times = [_fmt(t) for t in (config.dt * np.arange(n + 1)).tolist()]
+    # one row template per step, so a path's body is one `%` call over its states
+    rows = [_fmt(t) + ("," + _NUM) * d + ",0" for t in (config.dt * np.arange(n + 1)).tolist()]
     failures: list[tuple[int, int]] = []
     stats_rows = []
     for offset, size in engine.batch_sizes(config.paths, n, d):
@@ -303,13 +307,12 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         for b, step in enumerate(exit_steps.tolist()):
             i = offset + b
             exited = step >= 0
-            coords = states[b, : step + 1 if exited else n + 1].T.tolist()
-            lines = _csv_header(config, {"path_index": i, "horizon": _fmt(config.horizon)})
-            lines.append(columns)
-            lines += [",".join([t, *map(_fmt, x), "0"]) for t, *x in zip(times, *coords)]
+            end = step + 1 if exited else n + 1
+            body = "\n".join(rows[:end]) % tuple(states[b, :end].ravel().tolist())
             if exited:
-                lines[-1] = lines[-1][:-1] + "1"
-            _write_lines(out / f"path_{i:05d}.csv", lines)
+                body = body[:-1] + "1"
+            lines = _csv_header(config, {"path_index": i, "horizon": _fmt(config.horizon)})
+            _write_lines(out / f"path_{i:05d}.csv", lines + [columns, body])
             stats_rows.append(f"{i},{int(exited)},{step if exited else ''}")
             if exited:
                 failures.append((i, step))

@@ -203,9 +203,10 @@ def trace_moment_check(
 ) -> TraceMomentReport:
     """Monte-Carlo check of the trace moment estimate over stationary starts.
 
-    The left side integrates tr(g^T g)^{r/2} in time along each path and
-    averages over (start, path) pairs; the right side evaluates the
-    exponential-ratio integral on the same ensemble.
+    The left side integrates tr(g^T g)^{r/2} in time along each path,
+    averages a start's paths_per_point paths, and takes the mean and its
+    SE over the starts; the right side evaluates the exponential-ratio
+    integral on the same ensemble.
     """
     if ensemble.count == 0:
         raise ConfigError("empty stationary ensemble")
@@ -225,7 +226,9 @@ def trace_moment_check(
         if k == n0:
             samples[part] = integral / t0
 
-    mean, se_mean = map(float, engine.mean_and_se(samples))
+    # a start's paths share it, so the SE is taken over the starts' own means
+    per_start = samples.reshape(ensemble.count, paths_per_point).mean(axis=1)
+    mean, se_mean = map(float, engine.mean_and_se(per_start))
     lhs = mean ** (1.0 / r)
     lhs_se = se_mean * lhs / (r * mean) if mean > 0 else 0.0
 

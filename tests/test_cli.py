@@ -216,6 +216,16 @@ def test_simulate_start_outside_guard_names_the_radius(tmp_path, capsys):
     assert "dt" not in err
 
 
+def test_fmt_and_the_simulate_row_template_spell_numbers_alike():
+    """`_NUM` in a row template, `_fmt` and the `.12g` format spec give the same text."""
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 999999999999.5, -999999999999.5, math.inf, -math.inf, math.nan]
+    bits = np.random.default_rng(22).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = edge + bits.view(np.float64).tolist()
+    expected = [f"{v:.12g}" for v in values]
+    assert [cli._fmt(v) for v in values] == expected
+    assert ",".join([cli._NUM] * len(values)) % tuple(values) == ",".join(expected)
+
+
 def reference_simulate(config) -> dict:
     """`simulate`'s files built path by path from `simulate_path` and `WienerGrid.generate`."""
     problem = cli._build_problem(config)
@@ -243,6 +253,7 @@ SIMULATE_CASES = {
     "ROT2D": dict(tag="ROT2D"),
     "VARH2D": dict(tag="VARH2D"),
     "OU1D-guard": dict(tag="OU1D", paths=20, horizon="2.0", r_guard="2.5"),  # path 0 exits at step 1965
+    "ROT2D-guard": dict(tag="ROT2D", r_guard="2.0"),  # path 4 exits at step 412 of 500
 }
 
 

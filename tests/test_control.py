@@ -188,6 +188,24 @@ def test_trace_moment_holds_empirically(tag, t0, gamma0, r, all_problems, ensemb
     assert report.passed
 
 
+def test_trace_moment_se_is_taken_over_the_starts(dw1d, ensembles, monkeypatch):
+    """Two identical paths per start give the one-path lhs and SE, not an SE 1/sqrt(2) as large."""
+    ens = dv.StationaryEnsemble(ensembles["DW1D"].points[:200], "exact")
+    policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
+    one = dv.trace_moment_check(dw1d.model, ens, policy, paths_per_point=1, dt=0.01, seed=5)
+    draw = dv.engine.increments_block
+
+    def paired(seed, start, n_paths, count, dt, dim):
+        # path j is driven by the noise of path j // 2, so start i's two paths are path i alone
+        index = np.arange(start, start + n_paths) // 2
+        return draw(seed, index[0], index[-1] - index[0] + 1, count, dt, dim)[index - index[0]]
+
+    monkeypatch.setattr(dv.engine, "increments_block", paired)
+    two = dv.trace_moment_check(dw1d.model, ens, policy, paths_per_point=2, dt=0.01, seed=5)
+    assert one.lhs_se > 0
+    assert (two.lhs, two.lhs_se, two.rhs, two.rhs_se) == (one.lhs, one.lhs_se, one.rhs, one.rhs_se)
+
+
 def test_trace_moment_empty_ensemble_rejected(ou1d):
     ens = dv.StationaryEnsemble(points=np.zeros((0, 1)), provenance="exact")
     with pytest.raises(dv.ConfigError):
