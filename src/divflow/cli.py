@@ -599,15 +599,15 @@ def _exp_integrability(ctx: VerifyContext) -> CheckResult:
 
 def _decay(ctx: VerifyContext) -> CheckResult:
     """Semigroup decay of a centred function."""
-    model, problem = ctx.model, ctx.problem
-    if model.dim == 1 and problem.stationary_sampler is None:
-        f_dec = shifted(ctx.battery[0], _mu_mean_1d(problem, ctx.battery[0]))
+    model, dw1d = ctx.model, ctx.config.tag == "DW1D"
+    if dw1d:
+        f_dec = shifted(ctx.battery[0], _mu_mean_1d(ctx.problem, ctx.battery[0]))
     else:
         f_dec = coordinate(0, model.dim)
     decay = decay_check(
         model,
         f_dec,
-        (0.0, 2.0, 10.0) if ctx.config.tag == "DW1D" else (0.0, 1.0, 5.0),
+        (0.0, 2.0, 10.0) if dw1d else (0.0, 1.0, 5.0),
         ctx.ensemble,
         n_outer=1000,
         inner_paths=100,

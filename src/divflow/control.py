@@ -233,7 +233,7 @@ def trace_moment_check(
     lhs_se = se_mean * lhs / (r * mean) if mean > 0 else 0.0
 
     phi = e_function(r * t0 * curvature_sup(model, ensemble.points))
-    phi_mean, phi_se = ensemble.mean_and_se(phi)
+    phi_mean, phi_se = map(float, engine.mean_and_se(phi))
     rhs = math.sqrt(d) / t0 * phi_mean ** (1.0 / r)
     rhs_se = math.sqrt(d) / t0 * phi_se * phi_mean ** (1.0 / r) / (r * phi_mean)
 

@@ -71,14 +71,13 @@ class CoefficientModel:
 class TestProblem:
     """A concrete coefficient model plus analytic reference data.
 
-    stationary_sampler draws exact samples from the invariant law when one
-    is known in closed form (Gaussian potentials); otherwise it is None and
-    sampling falls back to the Metropolis-adjusted Langevin route.
+    stationary_sampler(rng, n) returns n iid draws (n, d) from the invariant
+    law exp(-U)/Z, using only rng; a custom problem supplies its own.
     """
 
     tag: str
     model: CoefficientModel
-    stationary_sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
+    stationary_sampler: Callable[[np.random.Generator, int], Array]
     # Default exponential-integrability parameter; any value is admissible
     # for the built-ins, chosen so that unit control horizons stay feasible
     # where the curvature allows it.
@@ -369,6 +368,39 @@ def make_varh2d() -> TestProblem:
     )
 
 
+# Proposal standard deviation of DW1D's rejection sampler.
+DW1D_PROPOSAL_SD = 1.1
+
+
+def _dw1d_log_acceptance(x: Array) -> Array:
+    """Log acceptance ratio exp(-U(x)) / (M exp(-x^2 / (2 s^2))), s = DW1D_PROPOSAL_SD.
+
+    With y = x^2 the exponent -(y - 1)^2 + y / (2 s^2) peaks at
+    y = 1 + 1 / (4 s^2), where it equals log M = 1 / (2 s^2) + 1 / (16 s^4),
+    so the ratio is at most 1 and reaches 1 there.
+    """
+    inv = 1.0 / (2.0 * DW1D_PROPOSAL_SD**2)
+    y = x * x
+    return -((y - 1.0) ** 2) + y * inv - (inv + 0.25 * inv * inv)
+
+
+def _dw1d_sampler(rng: np.random.Generator, n: int) -> Array:
+    """Rejection from N(0, s^2) (Robert and Casella 2004, sec. 2.3); about 45 % accepted.
+
+    Proposals and their uniforms come from two child streams of rng, and
+    the first n accepted proposals are kept, so the draws depend neither on
+    the round size nor on n: a smaller ensemble is a prefix of a larger one.
+    """
+    normals, uniforms = rng.spawn(2)
+    kept, have = [], 0
+    while have < n:
+        x = DW1D_PROPOSAL_SD * normals.standard_normal(3 * (n - have))
+        accepted = x[np.log(uniforms.uniform(size=x.size)) < _dw1d_log_acceptance(x)]
+        kept.append(accepted)
+        have += accepted.size
+    return np.concatenate(kept)[:n, None]
+
+
 def make_dw1d() -> TestProblem:
     """d = 1, double-well potential U = (x^2 - 1)^2, H = 0."""
 
@@ -390,7 +422,9 @@ def make_dw1d() -> TestProblem:
         grad_antisym=_zeros_tensor(1),
         name="DW1D",
     )
-    return TestProblem(tag="DW1D", model=model, gamma0_default=1.0)
+    return TestProblem(
+        tag="DW1D", model=model, stationary_sampler=_dw1d_sampler, gamma0_default=1.0
+    )
 
 
 _BUILDERS = {

@@ -48,13 +48,13 @@ class NormEstimate:
     std_error: float
 
 
-def lp_norm(values: Array, p: float, ensemble: StationaryEnsemble) -> NormEstimate:
-    """Empirical L^p norm (mean |v|^p)^{1/p} over the ensemble, with a delta-method SE."""
+def lp_norm(values: Array, p: float) -> NormEstimate:
+    """Empirical L^p norm (mean |v|^p)^{1/p} over ensemble values, with a delta-method SE."""
     if p < 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     values = np.abs(np.asarray(values, dtype=float))
     powered = values**p
-    mean, se_mean = ensemble.mean_and_se(powered)
+    mean, se_mean = map(float, engine.mean_and_se(powered))
     if mean <= 0.0:
         return NormEstimate(value=0.0, std_error=0.0)
     norm = mean ** (1.0 / p)
@@ -105,7 +105,7 @@ def exp_integrability(
         raise ConfigError(f"gamma0 must be positive, got {gamma0}")
     u = curvature_sup(model, ensemble.points)
     summands = np.exp(gamma0 * np.maximum(u, 0.0))
-    mean, se = ensemble.mean_and_se(summands)
+    mean, se = map(float, engine.mean_and_se(summands))
     k = max(1, summands.shape[0] // 1000)
     top = np.sort(summands)[-k:]
     heavy = float(np.sum(top)) > 0.5 * float(np.sum(summands))
@@ -141,17 +141,17 @@ def norm_profile(
     hv = np.linalg.norm(f.hess(pts), axis=(-2, -1))
     lf = np.abs(apply_generator(model, f, pts))
 
-    f_lp = lp_norm(fv, p, ensemble)
-    grad_lp = lp_norm(gv, p, ensemble)
-    hess_lp = lp_norm(hv, p, ensemble)
+    f_lp = lp_norm(fv, p)
+    grad_lp = lp_norm(gv, p)
+    hess_lp = lp_norm(hv, p)
     sob1 = (f_lp.value**p + grad_lp.value**p) ** (1.0 / p)
     sob2 = (f_lp.value**p + grad_lp.value**p + hess_lp.value**p) ** (1.0 / p)
     sob_se = math.hypot(f_lp.std_error, grad_lp.std_error)
     sob2_se = math.hypot(sob_se, hess_lp.std_error)
     return NormProfile(
         name=f.name,
-        f_lq=lp_norm(fv, q, ensemble),
-        gen_lq=lp_norm(lf, q, ensemble),
+        f_lq=lp_norm(fv, q),
+        gen_lq=lp_norm(lf, q),
         grad_lp=grad_lp,
         hess_lp=hess_lp,
         sobolev_1p=NormEstimate(sob1, sob_se),
@@ -276,12 +276,12 @@ def _ell_2_star(model: CoefficientModel, ensemble: StationaryEnsemble, r: float)
     total = 0.0
     for i in range(d):
         for j in range(d):
-            val = lp_norm(h[..., i, j], r, ensemble).value
-            grad = lp_norm(np.linalg.norm(gh[..., :, i, j], axis=-1), r, ensemble).value
+            val = lp_norm(h[..., i, j], r).value
+            grad = lp_norm(np.linalg.norm(gh[..., :, i, j], axis=-1), r).value
             total += (val**r + grad**r) ** (1.0 / r)
-    u_val = lp_norm(model.potential(pts), r, ensemble).value
-    u_grad = lp_norm(np.linalg.norm(model.grad_potential(pts), axis=-1), r, ensemble).value
-    u_hess = lp_norm(np.linalg.norm(model.hess_potential(pts), axis=(-2, -1)), r, ensemble).value
+    u_val = lp_norm(model.potential(pts), r).value
+    u_grad = lp_norm(np.linalg.norm(model.grad_potential(pts), axis=-1), r).value
+    u_hess = lp_norm(np.linalg.norm(model.hess_potential(pts), axis=(-2, -1)), r).value
     total += (u_val**r + u_grad**r + u_hess**r) ** (1.0 / r)
     return total
 
@@ -363,8 +363,8 @@ def operator_symmetry_check(
         lf, lg = apply_L(model, f, pts), apply_L(model, g, pts)
         af, ag = apply_A(model, f, pts), apply_A(model, g, pts)
         fv, gv = f.value(pts), g.value(pts)
-        sym_mean, sym_se = ensemble.mean_and_se(lf * gv - fv * lg)
-        anti_mean, anti_se = ensemble.mean_and_se(af * gv + fv * ag)
+        sym_mean, sym_se = map(float, engine.mean_and_se(lf * gv - fv * lg))
+        anti_mean, anti_se = map(float, engine.mean_and_se(af * gv + fv * ag))
         rows.append(
             SymmetryRow(
                 pair=f"{f.name}|{g.name}",
@@ -525,8 +525,8 @@ def moment_bound_check(
             drift_b(model, pts) - model.grad_potential(pts),
         )
     )
-    c1, _ = ensemble.mean_and_se(f_mom(pts))
-    c2_half, _ = ensemble.mean_and_se(drift_term)
+    c1, _ = map(float, engine.mean_and_se(f_mom(pts)))
+    c2_half, _ = map(float, engine.mean_and_se(drift_term))
     c_hat = max(c1, 0.5 * c2_half + 2.0 * rho * d)
     bound = c_hat * (1.0 + horizon)
 

@@ -118,12 +118,7 @@ def test_criterion_05_trace_moment(all_problems, ensembles):
         problem = problem_by(all_problems, tag)
         policy = dv.HorizonPolicy(t0=t0, gamma0=gamma0, r=2.0)
         ens = ensembles[tag]
-        sub = dv.StationaryEnsemble(
-            points=ens.points[:2000],
-            provenance=ens.provenance,
-            diagnostics=ens.diagnostics,
-            n_chains=ens.n_chains,
-        )
+        sub = dv.StationaryEnsemble(points=ens.points[:2000])
         rep = dv.trace_moment_check(problem.model, sub, policy, paths_per_point=2, dt=1e-3, seed=SEED + 5)
         ok &= rep.passed
         detail.append(f"{tag} {rep.lhs:.3f}<={rep.rhs:.3f}")

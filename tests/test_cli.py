@@ -541,6 +541,37 @@ def test_mu_mean_1d_matches_a_30_digit_reference_on_the_dw1d_battery():
         assert abs(cli._mu_mean_1d(problem, f) - reference) < 1.0e-14, f.name
 
 
+@pytest.mark.parametrize("tag", ["DW1D", "OU1D"])
+def test_decay_check_centres_the_dw1d_bump_and_uses_the_coordinate_elsewhere(tag, monkeypatch):
+    """DW1D's decay function is bump0_w1 minus its mean under mu, whatever its sampler; OU1D's is x0."""
+    captured = []
+
+    def capture(model, f, *args, **kwargs):
+        captured.append(f)
+        return SimpleNamespace(passed=True, points=[], final_ratio=1.0)
+
+    monkeypatch.setattr(cli, "decay_check", capture)
+    problem = dv.make_problem(tag)
+    battery = dv.battery_for(problem)
+    ctx = SimpleNamespace(
+        config=SimpleNamespace(tag=tag, seed=2026, r_guard=math.inf),
+        problem=problem,
+        model=problem.model,
+        battery=battery,
+        ensemble=None,
+    )
+    assert cli._decay(ctx).passed
+    (f,) = captured
+    x = np.linspace(-2.0, 2.0, 41)[:, None]
+    if tag == "DW1D":
+        assert battery[0].name == "bump0_w1"
+        expected = battery[0].value(x) - cli._mu_mean_1d(problem, battery[0])
+    else:
+        assert f.name == "x0"
+        expected = x[:, 0]
+    assert np.array_equal(f.value(x), expected)
+
+
 def test_verify_dw1d_imports_no_scipy(tmp_path):
     """verify needs numpy alone.  A fresh process, since this one has scipy through other tests."""
     cfg_path = verify_config(tmp_path, tag="DW1D", paths=200, ensemble=500)

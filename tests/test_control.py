@@ -162,7 +162,7 @@ def test_trace_moment_ou_closed_form(ou1d):
 def test_trace_moment_flat_model_identity():
     # zero curvature: g = I/t0, both sides reduce to sqrt(d)/t0 = 1/t0 in d = 1
     model = flat_problem()
-    ens = dv.StationaryEnsemble(points=np.zeros((64, 1)), provenance="exact")
+    ens = dv.StationaryEnsemble(points=np.zeros((64, 1)))
     policy = dv.HorizonPolicy(t0=0.5, gamma0=1.0, r=2.0)
     report = dv.trace_moment_check(model, ens, policy, paths_per_point=1, dt=1e-3, seed=10)
     assert report.lhs == pytest.approx(2.0, abs=1e-9)
@@ -177,12 +177,7 @@ def test_trace_moment_flat_model_identity():
 def test_trace_moment_holds_empirically(tag, t0, gamma0, r, all_problems, ensembles):
     problem = next(p for p in all_problems if p.tag == tag)
     ens = ensembles[tag]
-    sub = dv.StationaryEnsemble(
-        points=ens.points[:2000],
-        provenance=ens.provenance,
-        diagnostics=ens.diagnostics,
-        n_chains=ens.n_chains,
-    )
+    sub = dv.StationaryEnsemble(points=ens.points[:2000])
     policy = dv.HorizonPolicy(t0=t0, gamma0=gamma0, r=r)
     report = dv.trace_moment_check(problem.model, sub, policy, paths_per_point=2, dt=1e-3, seed=11)
     assert report.passed
@@ -190,7 +185,7 @@ def test_trace_moment_holds_empirically(tag, t0, gamma0, r, all_problems, ensemb
 
 def test_trace_moment_se_is_taken_over_the_starts(dw1d, ensembles, monkeypatch):
     """Two identical paths per start give the one-path lhs and SE, not an SE 1/sqrt(2) as large."""
-    ens = dv.StationaryEnsemble(ensembles["DW1D"].points[:200], "exact")
+    ens = dv.StationaryEnsemble(ensembles["DW1D"].points[:200])
     policy = dv.HorizonPolicy(t0=0.25, gamma0=1.0, r=2.0)
     one = dv.trace_moment_check(dw1d.model, ens, policy, paths_per_point=1, dt=0.01, seed=5)
     draw = dv.engine.increments_block
@@ -207,7 +202,7 @@ def test_trace_moment_se_is_taken_over_the_starts(dw1d, ensembles, monkeypatch):
 
 
 def test_trace_moment_empty_ensemble_rejected(ou1d):
-    ens = dv.StationaryEnsemble(points=np.zeros((0, 1)), provenance="exact")
+    ens = dv.StationaryEnsemble(points=np.zeros((0, 1)))
     with pytest.raises(dv.ConfigError):
         dv.trace_moment_check(
             ou1d.model, ens, dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=2.0)
@@ -234,7 +229,7 @@ def test_trace_moment_integrand_does_not_depend_on_the_layout_of_c(monkeypatch):
         grad_antisym=lambda x: np.zeros(np.shape(x)[:-1] + (3, 3, 3)),
         name="QUARTIC3D",
     )
-    ens = dv.StationaryEnsemble(np.random.default_rng(3).standard_normal((200, 3)), "exact")
+    ens = dv.StationaryEnsemble(np.random.default_rng(3).standard_normal((200, 3)))
     policy = dv.HorizonPolicy(t0=1.0, gamma0=8.0, r=3.0)
     entry_major = dv.trace_moment_check(model, ens, policy, dt=0.01, seed=4)
     kernel = dv.engine.propagator_sweep

@@ -35,7 +35,7 @@ _CHECKS = {
 
 @pytest.mark.parametrize("name", list(_CHECKS))
 def test_checks_raise_at_the_first_guard_exit(dw1d, name):
-    ensemble = dv.StationaryEnsemble(points=np.full((20, 1), 3.0), provenance="exact")
+    ensemble = dv.StationaryEnsemble(points=np.full((20, 1), 3.0))
     with pytest.raises(dv.IntegrationError) as err:
         _CHECKS[name](dw1d.model, ensemble)
     assert err.value.step >= 1
@@ -44,7 +44,7 @@ def test_checks_raise_at_the_first_guard_exit(dw1d, name):
 @pytest.mark.parametrize("name", list(_CHECKS))
 def test_checks_honour_the_given_guard(ou1d, name):
     """OU1D from the origin stays well inside the default radius, but not inside 0.5."""
-    ensemble = dv.StationaryEnsemble(points=np.zeros((20, 1)), provenance="exact")
+    ensemble = dv.StationaryEnsemble(points=np.zeros((20, 1)))
     _CHECKS[name](ou1d.model, ensemble)
     with pytest.raises(dv.IntegrationError, match="radius guard") as err:
         _CHECKS[name](ou1d.model, ensemble, r_guard=0.5)
@@ -68,7 +68,7 @@ _SPLIT = {
     ),
     "gronwall": lambda model, ens: dv.gronwall_sweep(model, ens.points[:30], _SPLIT_POLICY, dt=0.05, seed=2),
     "trace_moment": lambda model, ens: dv.trace_moment_check(
-        model, dv.StationaryEnsemble(ens.points[:15], "exact"), _SPLIT_POLICY,
+        model, dv.StationaryEnsemble(ens.points[:15]), _SPLIT_POLICY,
         paths_per_point=2, dt=0.05, seed=2,
     ),
 }
@@ -346,7 +346,7 @@ def _layout_sensitive_results(problems, ensembles):
     for name, model in [("DW1D", dw), ("VARH2D", varh)]:
         points = ensembles[name].points[:40]
         out[f"gronwall {name}"] = repr(dv.gronwall_sweep(model, points, policy, dt=0.01, seed=9))
-        ens = dv.StationaryEnsemble(points, "exact")
+        ens = dv.StationaryEnsemble(points)
         out[f"trace_moment {name}"] = repr(dv.trace_moment_check(model, ens, policy, dt=0.01, seed=9))
     for name in ("stationarity", "decay", "moment_bound"):
         out[name] = repr(_SPLIT[name](dw, ensembles["DW1D"]))

@@ -386,7 +386,7 @@ def test_nothing_writes_into_coefficient_outputs(tag, all_problems):
     dv.total_drift(model, pts)
     dv.curvature_matrix(model, pts)
     dv.consistency_report(model, pts)
-    ens = dv.StationaryEnsemble(pts, "exact")
+    ens = dv.StationaryEnsemble(pts)
     profiles = [dv.norm_profile(model, f, ens, 2.0, 4.0) for f in dv.battery_for(problem)[:3]]
     dv.check_hessian_inequality(model, profiles, 2.0, 4.0, ens)
     summary = dv.flow_summary(model, np.full(d, 0.3), 0.5, 0.01, 40, seed=14, r_guard=1.2)

@@ -34,32 +34,32 @@ def dw_density():
 
 def test_lp_norm_constant(ou_ensemble):
     vals = np.ones(ou_ensemble.count)
-    est = dv.lp_norm(vals, 3.0, ou_ensemble)
+    est = dv.lp_norm(vals, 3.0)
     assert est.value == 1.0
     assert est.std_error == 0.0
 
 
 def test_lp_norm_gaussian_moments(ou_ensemble):
     x = ou_ensemble.points[:, 0]
-    l2 = dv.lp_norm(x, 2.0, ou_ensemble)
+    l2 = dv.lp_norm(x, 2.0)
     assert l2.value == pytest.approx(1.0, abs=0.02)
-    l4 = dv.lp_norm(x, 4.0, ou_ensemble)
+    l4 = dv.lp_norm(x, 4.0)
     assert l4.value == pytest.approx(3.0**0.25, abs=0.03)
     # 3 SE consistency of the reported uncertainty
     assert abs(l4.value - 3.0**0.25) <= 3.0 * l4.std_error
 
 
-def test_lp_norm_rejects_bad_p(ou_ensemble):
+def test_lp_norm_rejects_bad_p():
     with pytest.raises(dv.ConfigError):
-        dv.lp_norm(np.ones(10), 0.5, ou_ensemble)
+        dv.lp_norm(np.ones(10), 0.5)
 
 
 def test_holder_consistency_on_battery(ou1d, ou_ensemble):
     for f in dv.battery_for(ou1d):
         vals = np.abs(f.value(ou_ensemble.points))
         for p, q in ((1.0, 2.0), (1.5, 3.0), (2.0, 4.0)):
-            lo = dv.lp_norm(vals, p, ou_ensemble).value
-            hi = dv.lp_norm(vals, q, ou_ensemble).value
+            lo = dv.lp_norm(vals, p).value
+            hi = dv.lp_norm(vals, q).value
             assert lo <= hi * (1.0 + 1e-12)
 
 
@@ -166,7 +166,7 @@ def test_hessian_inequality_zero_function(ou1d, ou_ensemble):
 
 def test_hessian_inequality_stability(ou1d, ou_ensemble):
     bat = dv.battery_for(ou1d)
-    small = dv.StationaryEnsemble(points=ou_ensemble.points[:10_000], provenance="exact")
+    small = dv.StationaryEnsemble(points=ou_ensemble.points[:10_000])
     small_profiles, _ = check_inputs(ou1d.model, bat, small, 2.0, 4.0)
     big_profiles, _ = check_inputs(ou1d.model, bat, ou_ensemble, 2.0, 4.0)
     rep_small = dv.check_hessian_inequality(ou1d.model, small_profiles, 2.0, 4.0, small)
@@ -179,11 +179,7 @@ def test_hessian_inequality_stability(ou1d, ou_ensemble):
 
 def test_hessian_inequality_stability_dw(dw1d, dw_ensemble):
     bat = dv.battery_for(dw1d)
-    small = dv.StationaryEnsemble(
-        points=dw_ensemble.points[:10_000],
-        provenance=dw_ensemble.provenance,
-        n_chains=dw_ensemble.n_chains,
-    )
+    small = dv.StationaryEnsemble(points=dw_ensemble.points[:10_000])
     small_profiles, _ = check_inputs(dw1d.model, bat, small, 2.0, 4.0)
     big_profiles, _ = check_inputs(dw1d.model, bat, dw_ensemble, 2.0, 4.0)
     rep_small = dv.check_hessian_inequality(dw1d.model, small_profiles, 2.0, 4.0, small)
@@ -193,7 +189,7 @@ def test_hessian_inequality_stability_dw(dw1d, dw_ensemble):
 
 def test_norm_profile_sobolev_ordering(ou1d, ou_ensemble):
     prof = dv.norm_profile(ou1d.model, dv.bump([0.0], 1.0), ou_ensemble, 2.0, 4.0)
-    f_lp = dv.lp_norm(np.abs(dv.bump([0.0], 1.0).value(ou_ensemble.points)), 2.0, ou_ensemble)
+    f_lp = dv.lp_norm(np.abs(dv.bump([0.0], 1.0).value(ou_ensemble.points)), 2.0)
     assert prof.sobolev_1p.value >= f_lp.value
     assert prof.sobolev_2p.value >= prof.sobolev_1p.value
 
