@@ -459,11 +459,7 @@ def _operator_symmetry(ctx: VerifyContext) -> CheckResult:
     b = ctx.battery
     pairs = [(b[0], b[0]), (b[0], b[1]), (b[1], b[2]), (b[2], b[3]), (b[3], b[0]), (b[1], b[1])]
     sym = operator_symmetry_check(ctx.model, pairs, ctx.ensemble)
-    worst = max(
-        max(abs(r.sym_residual) / (3 * r.sym_se + 1e-300), abs(r.antisym_residual) / (3 * r.antisym_se + 1e-300))
-        for r in sym.rows
-    )
-    return CheckResult("operator_symmetry", sym.passed, f"worst residual {worst:.2f} x 3SE", sym)
+    return CheckResult("operator_symmetry", sym.passed, f"worst residual {sym.worst:.2f} x 3SE", sym)
 
 
 def _stationarity(ctx: VerifyContext) -> CheckResult:
@@ -478,7 +474,7 @@ def _stationarity(ctx: VerifyContext) -> CheckResult:
         seed=ctx.config.seed + _SEED_TAGS["stationarity"],
         r_guard=ctx.config.r_guard,
     )
-    return CheckResult("stationarity", stat.passed, f"{len(stat.rows)} (f, t) cells at 3 SE", stat)
+    return CheckResult("stationarity", stat.passed, f"{len(stat.names)} (f, t) cells at 3 SE", stat)
 
 
 def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
@@ -489,7 +485,7 @@ def _control_discrepancy(ctx: VerifyContext) -> CheckResult:
     theta_max = 0.0
     mismatch_max = 0.0
     n_flow = engine.steps_for(2.0 * policy.t0, dt_flow)
-    for k in range(3):
+    for k in range(min(3, ctx.ensemble.count)):
         noise = WienerGrid.generate(config.seed + _SEED_TAGS["control"], k, n_flow, dt_flow, model.dim)
         traj = simulate_path(
             model, ctx.ensemble.points[k], 2.0 * policy.t0, dt_flow, noise, r_guard=config.r_guard
@@ -566,7 +562,7 @@ def _ibp_identity(ctx: VerifyContext) -> CheckResult:
 def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
     """First-derivative bound with the theoretical constant."""
     c = ctx.config
-    rep = check_gradient_inequality(ctx.model, ctx.profiles, c.p, c.q, ctx.policy, ctx.integrability)
+    rep = check_gradient_inequality(ctx.model, ctx.profiles, c.p, c.q, ctx.integrability)
     return CheckResult(
         "gradient_inequality",
         rep.passed,
@@ -577,7 +573,7 @@ def _gradient_inequality(ctx: VerifyContext) -> CheckResult:
 
 def _hessian_inequality(ctx: VerifyContext) -> CheckResult:
     """Second-derivative bound with a fitted constant."""
-    rep = check_hessian_inequality(ctx.model, ctx.profiles, ctx.config.p, ctx.config.q, ctx.ensemble)
+    rep = check_hessian_inequality(ctx.profiles)
     return CheckResult(
         "hessian_inequality",
         rep.passed and math.isfinite(rep.constant),
@@ -679,7 +675,7 @@ def _write_verify_outputs(ctx: VerifyContext, results: list[CheckResult]) -> Non
 
     lines = _csv_header(config, {"t0": _fmt(policy.t0), "r": _fmt(policy.r)})
     lines.append("f,p,q,t0,f_lq,gen_lq,grad_lp,hess_lp,sobolev_1p,sobolev_2p,C,ratio,verdict")
-    for row, prof in zip(grad_rep.rows, grad_rep.profiles):
+    for row, prof in zip(grad_rep.rows, ctx.profiles):
         norms = (prof.f_lq, prof.gen_lq, prof.grad_lp, prof.hess_lp, prof.sobolev_1p, prof.sobolev_2p)
         lines.append(
             ",".join(

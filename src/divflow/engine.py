@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -315,6 +316,39 @@ def mean_and_se(values) -> tuple[Array, Array]:
     if n < 2:
         return mean, np.full_like(mean, np.nan)
     return mean, values.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+@dataclass(frozen=True)
+class Cells:
+    """Named residuals whose null mean is 0, each tested at 3 SE.
+
+    Tuples rather than arrays, so that two results compare with ==.  A nan
+    SE (one sample) fails its cell.
+    """
+
+    names: tuple[str, ...]
+    residual: tuple[float, ...]
+    se: tuple[float, ...]
+
+    @classmethod
+    def of(cls, samples) -> "Cells":
+        """One cell per (name, 1-D residual samples) pair: the mean and its SE."""
+        names, residual, se = [], [], []
+        for name, values in samples:
+            mean, err = map(float, mean_and_se(values))
+            names.append(name)
+            residual.append(mean)
+            se.append(err)
+        return cls(tuple(names), tuple(residual), tuple(se))
+
+    @property
+    def passed(self) -> bool:
+        return all(abs(r) <= 3.0 * s + 1.0e-12 for r, s in zip(self.residual, self.se))
+
+    @property
+    def worst(self) -> float:
+        """The largest |residual| in units of 3 SE."""
+        return max(abs(r) / (3.0 * s + 1.0e-300) for r, s in zip(self.residual, self.se))
 
 
 def euler_sweep(

@@ -39,7 +39,6 @@ class GradientEstimate:
     route: str  # "frechet" | "malliavin"
     horizon: float
     x: Array
-    exited_fraction: float = 0.0
 
 
 def ito_integral(control: ControlPath, noise: WienerGrid) -> Array:
@@ -165,7 +164,6 @@ def _estimate(samples: Array, summary: PathSummary, route: str) -> GradientEstim
         route=route,
         horizon=summary.t_end,
         x=summary.x,
-        exited_fraction=summary.exited_fraction,
     )
 
 

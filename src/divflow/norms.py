@@ -19,13 +19,12 @@ decay for centred functions, and the exit-time moment bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import engine
-from .control import HorizonPolicy
 from .errors import ConfigError
 from .functions import TestFunction
 from .model import (
@@ -33,7 +32,6 @@ from .model import (
     apply_A,
     apply_generator,
     apply_L,
-    antisym_field,
     curvature_sup,
     drift_b,
 )
@@ -93,7 +91,6 @@ class ExpIntegrability:
 
     value: float
     std_error: float
-    gamma0: float
     heavy_tail: bool  # top 0.1% of summands carry more than half the mean
 
 
@@ -109,7 +106,7 @@ def exp_integrability(
     k = max(1, summands.shape[0] // 1000)
     top = np.sort(summands)[-k:]
     heavy = float(np.sum(top)) > 0.5 * float(np.sum(summands))
-    return ExpIntegrability(value=mean, std_error=se, gamma0=gamma0, heavy_tail=heavy)
+    return ExpIntegrability(value=mean, std_error=se, heavy_tail=heavy)
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,6 @@ class NormProfile:
     hess_lp: NormEstimate
     sobolev_1p: NormEstimate
     sobolev_2p: NormEstimate
-    p: float
-    q: float
 
 
 def norm_profile(
@@ -156,8 +151,6 @@ def norm_profile(
         hess_lp=hess_lp,
         sobolev_1p=NormEstimate(sob1, sob_se),
         sobolev_2p=NormEstimate(sob2, sob2_se),
-        p=p,
-        q=q,
     )
 
 
@@ -166,12 +159,7 @@ class InequalityRow:
     """One battery function's empirical ratio against the constant."""
 
     name: str
-    lhs: float
-    lhs_se: float
-    denom: float
-    denom_se: float
     ratio: float
-    rel_se: float
     passed: bool
 
 
@@ -179,17 +167,8 @@ class InequalityRow:
 class InequalityReport:
     """Battery-wide outcome of one of the a priori bounds."""
 
-    kind: str  # "gradient" | "hessian"
-    p: float
-    q: float
-    r: float
     constant: float  # theoretical for gradient, fitted for hessian
-    constant_kind: str  # "theoretical" | "fitted"
-    e_gamma0: float
-    t0: float
-    rows: list[InequalityRow] = field(default_factory=list)
-    profiles: list[NormProfile] = field(default_factory=list)  # gradient: aligned with rows
-    ell_2_star: dict = field(default_factory=dict)
+    rows: list[InequalityRow]
 
     @property
     def passed(self) -> bool:
@@ -214,16 +193,7 @@ def _ratio_row(
         if num.value > 0:
             rel = math.hypot(num.std_error / num.value, denom_se / denom)
     passed = ratio <= constant * (1.0 + 3.0 * rel) + 1.0e-12
-    return InequalityRow(
-        name=name,
-        lhs=num.value,
-        lhs_se=num.std_error,
-        denom=denom,
-        denom_se=denom_se,
-        ratio=ratio,
-        rel_se=rel,
-        passed=passed,
-    )
+    return InequalityRow(name=name, ratio=ratio, passed=passed)
 
 
 def balanced_horizon(gen_lq, f_lq, t_star: float) -> float:
@@ -243,7 +213,6 @@ def check_gradient_inequality(
     profiles: Sequence[NormProfile],
     p: float,
     q: float,
-    policy: HorizonPolicy,
     integ: ExpIntegrability,
 ) -> InequalityReport:
     """Test the first-derivative bound on each battery function's norm profile.
@@ -253,128 +222,47 @@ def check_gradient_inequality(
     r = r_exponent(p, q)
     constant = constant_c(model.dim, r, integ.value)
     rows = [_ratio_row(prof.name, prof.grad_lp, prof.gen_lq, prof.f_lq, constant) for prof in profiles]
-    return InequalityReport(
-        kind="gradient",
-        p=p,
-        q=q,
-        r=r,
-        constant=constant,
-        constant_kind="theoretical",
-        e_gamma0=integ.value,
-        t0=policy.t0,
-        rows=rows,
-        profiles=list(profiles),
-    )
+    return InequalityReport(constant=constant, rows=rows)
 
 
-def _ell_2_star(model: CoefficientModel, ensemble: StationaryEnsemble, r: float) -> float:
-    """Coefficient Sobolev size: sum of W^{1,r} norms of H entries plus W^{2,r} of U."""
-    pts = ensemble.points
-    d = model.dim
-    h = antisym_field(model, pts)
-    gh = model.grad_antisym(pts)
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            val = lp_norm(h[..., i, j], r).value
-            grad = lp_norm(np.linalg.norm(gh[..., :, i, j], axis=-1), r).value
-            total += (val**r + grad**r) ** (1.0 / r)
-    u_val = lp_norm(model.potential(pts), r).value
-    u_grad = lp_norm(np.linalg.norm(model.grad_potential(pts), axis=-1), r).value
-    u_hess = lp_norm(np.linalg.norm(model.hess_potential(pts), axis=(-2, -1)), r).value
-    total += (u_val**r + u_grad**r + u_hess**r) ** (1.0 / r)
-    return total
-
-
-def check_hessian_inequality(
-    model: CoefficientModel,
-    profiles: Sequence[NormProfile],
-    p: float,
-    q: float,
-    ensemble: StationaryEnsemble,
-) -> InequalityReport:
+def check_hessian_inequality(profiles: Sequence[NormProfile]) -> InequalityReport:
     """Second-derivative bound with a fitted constant, on norms already computed.
 
     The constant here is not explicit (it enters through flat-measure
-    elliptic regularity), so the check records the largest observed ratio
-    and the coefficient Sobolev sizes; stability of the fitted constant
-    under ensemble growth is asserted by the test suite.
+    elliptic regularity), so the check records the largest observed ratio;
+    stability of the fitted constant under ensemble growth is asserted by
+    the test suite.  A row still fails on a nan SE (one sample).
     """
-    if not p < q:
-        raise ConfigError(f"need p < q, got p={p}, q={q}")
     ratios = []
     for prof in profiles:
         denom = prof.gen_lq.value + prof.f_lq.value
         ratios.append(prof.hess_lp.value / denom if denom > 0 else 0.0)
     fitted = max(ratios) if ratios else 0.0
     rows = [_ratio_row(prof.name, prof.hess_lp, prof.gen_lq, prof.f_lq, fitted) for prof in profiles]
-    ell = {r: _ell_2_star(model, ensemble, r) for r in (2.0, 3.0, 4.0)}
-    return InequalityReport(
-        kind="hessian",
-        p=p,
-        q=q,
-        r=0.0,
-        constant=fitted,
-        constant_kind="fitted",
-        e_gamma0=math.nan,
-        t0=0.0,
-        rows=rows,
-        ell_2_star=ell,
-    )
-
-
-@dataclass(frozen=True)
-class SymmetryRow:
-    pair: str
-    sym_residual: float
-    sym_se: float
-    antisym_residual: float
-    antisym_se: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.sym_residual) <= 3.0 * self.sym_se + 1.0e-12 and abs(
-            self.antisym_residual
-        ) <= 3.0 * self.antisym_se + 1.0e-12
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    rows: list[SymmetryRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
+    return InequalityReport(constant=fitted, rows=rows)
 
 
 def operator_symmetry_check(
     model: CoefficientModel,
     pairs: Sequence[tuple[TestFunction, TestFunction]],
     ensemble: StationaryEnsemble,
-) -> SymmetryReport:
+) -> engine.Cells:
     """Empirical check that L is symmetric and A antisymmetric under mu.
 
     Per pair (f, g) the residual samples Lf.g - f.Lg and Af.g + f.Ag both
-    have zero mean; the test is |mean| <= 3 SE.
+    have zero mean: two cells per pair, "f|g sym" then "f|g antisym".
     """
     pts = ensemble.points
-    rows = []
-    for f, g in pairs:
-        lf, lg = apply_L(model, f, pts), apply_L(model, g, pts)
-        af, ag = apply_A(model, f, pts), apply_A(model, g, pts)
-        fv, gv = f.value(pts), g.value(pts)
-        sym_mean, sym_se = map(float, engine.mean_and_se(lf * gv - fv * lg))
-        anti_mean, anti_se = map(float, engine.mean_and_se(af * gv + fv * ag))
-        rows.append(
-            SymmetryRow(
-                pair=f"{f.name}|{g.name}",
-                sym_residual=sym_mean,
-                sym_se=sym_se,
-                antisym_residual=anti_mean,
-                antisym_se=anti_se,
-            )
-        )
-    return SymmetryReport(rows=rows)
+
+    def residuals():
+        for f, g in pairs:
+            lf, lg = apply_L(model, f, pts), apply_L(model, g, pts)
+            af, ag = apply_A(model, f, pts), apply_A(model, g, pts)
+            fv, gv = f.value(pts), g.value(pts)
+            yield f"{f.name}|{g.name} sym", lf * gv - fv * lg
+            yield f"{f.name}|{g.name} antisym", af * gv + fv * ag
+
+    return engine.Cells.of(residuals())
 
 
 @dataclass(frozen=True)
@@ -563,27 +451,6 @@ def moment_bound_check(
     return MomentBoundReport(rows=rows, c_hat=c_hat, bound=bound, monotone_exits=monotone)
 
 
-@dataclass(frozen=True)
-class StationarityRow:
-    name: str
-    t: float
-    drift: float  # mean of f(X_t) - f(X_0)
-    std_error: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.drift) <= 3.0 * self.std_error + 1.0e-12
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    rows: list[StationarityRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
 def stationarity_check(
     model: CoefficientModel,
     battery: Sequence[TestFunction],
@@ -593,11 +460,12 @@ def stationarity_check(
     dt: float = 5.0e-3,
     seed: int = 0,
     r_guard: float = engine.DEFAULT_R_GUARD,
-) -> StationarityReport:
+) -> engine.Cells:
     """With stationary starts, E f(X(t)) is constant in t.
 
     The residual f(X_t) - f(X_0) is evaluated on common paths, so the
-    comparison at 3 SE is sharp.
+    comparison at 3 SE is sharp.  One cell per (f, t), in battery order,
+    then time order.
     """
     t_grid = sorted(float(t) for t in t_grid if t > 0)
     starts = ensemble.points[: min(n_paths, ensemble.count)]
@@ -610,10 +478,8 @@ def stationarity_check(
             for f in battery:
                 values[(f.name, k)][part] = f.value(x)
 
-    rows = []
-    for f in battery:
-        for t in t_grid:
-            diff = values[(f.name, engine.steps_for(t, dt))] - values[(f.name, 0)]
-            mean, se = map(float, engine.mean_and_se(diff))
-            rows.append(StationarityRow(name=f.name, t=t, drift=mean, std_error=se))
-    return StationarityReport(rows=rows)
+    return engine.Cells.of(
+        (f"{f.name} t={t:g}", values[(f.name, engine.steps_for(t, dt))] - values[(f.name, 0)])
+        for f in battery
+        for t in t_grid
+    )

@@ -144,7 +144,7 @@ def test_criterion_06_gradient_inequality(all_problems, ensembles):
             ens = ensembles[tag]
             profiles = [dv.norm_profile(problem.model, f, ens, p, q) for f in dv.battery_for(problem)]
             integ = dv.exp_integrability(problem.model, ens, policy.gamma0)
-            rep = dv.check_gradient_inequality(problem.model, profiles, p, q, policy, integ)
+            rep = dv.check_gradient_inequality(problem.model, profiles, p, q, integ)
             ok &= rep.passed
             worst = max(worst, max(row.ratio / rep.constant for row in rep.rows))
             print(

@@ -391,6 +391,22 @@ def test_verify_on_one_sample_fails_without_warnings(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_verify_on_a_one_point_ensemble_fails_without_a_traceback(tmp_path, capsys):
+    """The control check runs as many paths as the ensemble has points, up to three."""
+    cfg_path = verify_config(tmp_path, paths=200, ensemble=1, t0=0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", str(cfg_path)])
+    assert code == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.endswith(
+        "verification failed: operator_symmetry, stationarity, trace_moment, gradient_inequality, "
+        "hessian_inequality, exp_integrability, decay, moment_bound\n"
+    )
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_verify_rot2d_passes(tmp_path):
     cfg_path = verify_config(tmp_path, tag="ROT2D")
     assert main(["verify", "--config", str(cfg_path)]) == EXIT_OK

@@ -96,6 +96,50 @@ def test_mean_and_se_is_nan_below_two_samples():
     assert se == pytest.approx(np.sqrt(7.0 / 3.0))
 
 
+def test_cells_pass_at_exactly_three_se_and_fail_above_it_or_on_a_nan_se():
+    edge = 3.0 * 0.5 + 1.0e-12
+    assert engine.Cells(("a", "b"), (edge, -edge), (0.5, 0.5)).passed
+    assert not engine.Cells(("a", "b"), (0.0, np.nextafter(edge, np.inf)), (0.5, 0.5)).passed
+    assert not engine.Cells(("a",), (0.0,), (np.nan,)).passed
+
+
+def test_cells_worst_is_the_largest_residual_in_units_of_three_se():
+    cells = engine.Cells(("a", "b", "c"), (0.3, -1.2, 0.0), (0.1, 0.2, 0.0))
+    assert cells.worst == pytest.approx(max(0.3 / 0.3, 1.2 / 0.6), rel=1e-15)
+
+
+def test_cells_with_the_same_values_are_equal():
+    assert engine.Cells(("a",), (1.0,), (0.5,)) == engine.Cells(("a",), (1.0,), (0.5,))
+    assert engine.Cells(("a",), (1.0,), (0.5,)) != engine.Cells(("a",), (1.0,), (0.25,))
+    samples = np.array([1.0, 2.0, 6.0])
+    mean, se = engine.mean_and_se(samples)
+    assert engine.Cells.of([("a", samples)]) == engine.Cells(("a",), (float(mean),), (float(se),))
+
+
+def test_symmetry_cells_come_two_per_pair_in_pair_order(ou1d):
+    ensemble = dv.sample_stationary(ou1d, 500, seed=3)
+    f, g, h = dv.battery_for(ou1d)[:3]
+    cells = dv.operator_symmetry_check(ou1d.model, [(f, g), (h, h)], ensemble)
+    assert cells.names == (
+        f"{f.name}|{g.name} sym",
+        f"{f.name}|{g.name} antisym",
+        f"{h.name}|{h.name} sym",
+        f"{h.name}|{h.name} antisym",
+    )
+    pts = ensemble.points
+    sym = dv.apply_L(ou1d.model, f, pts) * g.value(pts) - f.value(pts) * dv.apply_L(ou1d.model, g, pts)
+    assert cells.residual[0] == float(engine.mean_and_se(sym)[0])
+    assert cells.residual[1::2] == (0.0, 0.0)  # H = 0: A vanishes on OU1D
+
+
+def test_stationarity_cells_come_in_battery_then_time_order(ou1d):
+    ensemble = dv.sample_stationary(ou1d, 20, seed=3)
+    f, g = dv.battery_for(ou1d)[:2]
+    cells = dv.stationarity_check(ou1d.model, [f, g], ensemble, t_grid=(2.0, 0.5), n_paths=20, dt=0.5, seed=1)
+    assert cells.names == (f"{f.name} t=0.5", f"{f.name} t=2", f"{g.name} t=0.5", f"{g.name} t=2")
+    assert len(cells.residual) == len(cells.se) == 4
+
+
 def test_flow_summary_and_euler_sweep_share_the_guard(ou1d):
     x, t_end, dt, n_paths, seed = 0.5, 1.0, 0.01, 400, 3
     n = engine.steps_for(t_end, dt)

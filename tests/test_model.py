@@ -13,7 +13,7 @@ import sympy as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import divflow as dv
-from divflow import engine, norms
+from divflow import engine
 from divflow.model import constant_curvature, jac_drift
 
 from conftest import random_points
@@ -286,8 +286,6 @@ def test_antisym_none_is_bit_identical_to_an_explicit_zero_h(tag, all_problems):
     for f in (dv.coordinate(0, d), dv.square(d), dv.bump(np.full(d, 0.3), 1.0)):
         _assert_bits_equal(dv.apply_generator(model, f, pts), dv.apply_generator(zeros, f, pts))
     assert dv.consistency_report(model, pts) == dv.consistency_report(zeros, pts)
-    ens = dv.sample_stationary(problem, 2000, seed=5)
-    assert norms._ell_2_star(model, ens, 4.0) == norms._ell_2_star(zeros, ens, 4.0)
     rng = np.random.default_rng(7)
     x0 = np.concatenate([np.zeros((1, d)), rng.standard_normal((63, d))])
     increments = np.sqrt(1e-3) * rng.standard_normal((64, 200, d))
@@ -388,7 +386,7 @@ def test_nothing_writes_into_coefficient_outputs(tag, all_problems):
     dv.consistency_report(model, pts)
     ens = dv.StationaryEnsemble(pts)
     profiles = [dv.norm_profile(model, f, ens, 2.0, 4.0) for f in dv.battery_for(problem)[:3]]
-    dv.check_hessian_inequality(model, profiles, 2.0, 4.0, ens)
+    dv.check_hessian_inequality(profiles)
     summary = dv.flow_summary(model, np.full(d, 0.3), 0.5, 0.01, 40, seed=14, r_guard=1.2)
     assert 0 < summary.exited_fraction < 1
     increments = engine.increments_block(14, 0, 40, 50, 0.01, d)

@@ -126,7 +126,7 @@ def test_r_exponent_pairs():
 def test_gradient_inequality_zero_function(ou1d, ou_ensemble):
     zero = dv.constant(0.0, 1)
     profiles, integ = check_inputs(ou1d.model, [zero], ou_ensemble, 2.0, 4.0, OU_POLICY.gamma0)
-    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, OU_POLICY, integ)
+    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, integ)
     assert rep.rows[0].ratio == 0.0
     assert rep.passed
 
@@ -135,7 +135,7 @@ def test_gradient_inequality_ou_battery(ou1d, ou_ensemble):
     profiles, integ = check_inputs(
         ou1d.model, dv.battery_for(ou1d), ou_ensemble, 2.0, 4.0, OU_POLICY.gamma0
     )
-    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, OU_POLICY, integ)
+    rep = dv.check_gradient_inequality(ou1d.model, profiles, 2.0, 4.0, integ)
     assert rep.passed
     assert rep.constant == pytest.approx(dv.constant_c(1, 4.0, 1.0))
 
@@ -145,7 +145,7 @@ def test_gradient_inequality_dw_battery(dw1d, dw_ensemble):
     profiles, integ = check_inputs(
         dw1d.model, dv.battery_for(dw1d), dw_ensemble, 1.5, 3.0, policy.gamma0
     )
-    rep = dv.check_gradient_inequality(dw1d.model, profiles, 1.5, 3.0, policy, integ)
+    rep = dv.check_gradient_inequality(dw1d.model, profiles, 1.5, 3.0, integ)
     assert rep.passed
 
 
@@ -154,12 +154,12 @@ def test_gradient_inequality_rejects_bad_exponents(ou1d, ou_ensemble):
         ou1d.model, dv.battery_for(ou1d), ou_ensemble, 4.0, 2.0, OU_POLICY.gamma0
     )
     with pytest.raises(dv.ConfigError):
-        dv.check_gradient_inequality(ou1d.model, profiles, 4.0, 2.0, OU_POLICY, integ)
+        dv.check_gradient_inequality(ou1d.model, profiles, 4.0, 2.0, integ)
 
 
 def test_hessian_inequality_zero_function(ou1d, ou_ensemble):
     profiles, _ = check_inputs(ou1d.model, [dv.constant(0.0, 1)], ou_ensemble, 2.0, 4.0)
-    rep = dv.check_hessian_inequality(ou1d.model, profiles, 2.0, 4.0, ou_ensemble)
+    rep = dv.check_hessian_inequality(profiles)
     assert rep.rows[0].ratio == 0.0
     assert rep.passed
 
@@ -169,12 +169,10 @@ def test_hessian_inequality_stability(ou1d, ou_ensemble):
     small = dv.StationaryEnsemble(points=ou_ensemble.points[:10_000])
     small_profiles, _ = check_inputs(ou1d.model, bat, small, 2.0, 4.0)
     big_profiles, _ = check_inputs(ou1d.model, bat, ou_ensemble, 2.0, 4.0)
-    rep_small = dv.check_hessian_inequality(ou1d.model, small_profiles, 2.0, 4.0, small)
-    rep_big = dv.check_hessian_inequality(ou1d.model, big_profiles, 2.0, 4.0, ou_ensemble)
+    rep_small = dv.check_hessian_inequality(small_profiles)
+    rep_big = dv.check_hessian_inequality(big_profiles)
     assert rep_small.passed and rep_big.passed
     assert rep_big.constant == pytest.approx(rep_small.constant, rel=0.10)
-    assert set(rep_big.ell_2_star) == {2.0, 3.0, 4.0}
-    assert all(np.isfinite(v) for v in rep_big.ell_2_star.values())
 
 
 def test_hessian_inequality_stability_dw(dw1d, dw_ensemble):
@@ -182,8 +180,8 @@ def test_hessian_inequality_stability_dw(dw1d, dw_ensemble):
     small = dv.StationaryEnsemble(points=dw_ensemble.points[:10_000])
     small_profiles, _ = check_inputs(dw1d.model, bat, small, 2.0, 4.0)
     big_profiles, _ = check_inputs(dw1d.model, bat, dw_ensemble, 2.0, 4.0)
-    rep_small = dv.check_hessian_inequality(dw1d.model, small_profiles, 2.0, 4.0, small)
-    rep_big = dv.check_hessian_inequality(dw1d.model, big_profiles, 2.0, 4.0, dw_ensemble)
+    rep_small = dv.check_hessian_inequality(small_profiles)
+    rep_big = dv.check_hessian_inequality(big_profiles)
     assert rep_big.constant == pytest.approx(rep_small.constant, rel=0.10)
 
 
@@ -202,8 +200,8 @@ def test_norm_profile_sobolev_ordering(ou1d, ou_ensemble):
 def test_antisymmetry_diagonal_pair(rot2d, rot_ensemble):
     f = dv.bump([0.0, 0.0], 1.5)
     rep = dv.operator_symmetry_check(rot2d.model, [(f, f)], rot_ensemble)
-    row = rep.rows[0]
-    assert abs(row.antisym_residual) <= 3.0 * row.antisym_se + 1e-12
+    assert rep.names[1] == f"{f.name}|{f.name} antisym"
+    assert abs(rep.residual[1]) <= 3.0 * rep.se[1] + 1e-12
 
 
 @pytest.mark.parametrize("tag", ["OU1D", "ROT2D", "VARH2D", "DW1D"])

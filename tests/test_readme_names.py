@@ -96,3 +96,10 @@ def test_readme_custom_model_example_runs_and_is_consistent():
     report = ast.literal_eval(out.getvalue().strip())
     assert set(report) == {"antisym_max_dev", "hess_sym_max_dev", "grad_antisym_fd_max_dev"}
     assert max(report.values()) < 1e-6
+
+
+def test_readme_verify_table_lists_the_checks_in_order():
+    """The `check` column of README's verify table is `cli.CHECKS`, in run order."""
+    section = README.split("## The `verify` checks", 1)[1].split("\n## ", 1)[0]
+    shown = re.findall(r"^\| \d+ \| `(\w+)` \|", section, re.M)
+    assert shown == [check.__name__.lstrip("_") for check in cli.CHECKS]
