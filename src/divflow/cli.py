@@ -281,10 +281,10 @@ def _route_rows(config: ExperimentConfig, name: str, rep: IbpReport, routes) -> 
 def cmd_simulate(config: ExperimentConfig) -> int:
     """Integrate config.paths trajectories and write one CSV per path.
 
-    Paths are stepped in batches (`engine.batch_sizes`): one noise block and
-    one Euler sweep per batch, whose CSVs are written before the next batch
-    is stepped.  Path i is driven by noise stream i of the master seed and
-    stops at its guard exit, so the files do not depend on the batching.
+    `engine.ensemble_sweep` steps the paths with `engine.euler_sweep` batch
+    by batch, and each batch's CSVs are written before the next is stepped.
+    Path i is driven by noise stream i of the master seed and stops at its
+    guard exit, recorded in exit_stats.csv, so no file depends on batching.
     """
     problem = _build_problem(config)
     model = problem.model
@@ -296,16 +296,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     columns = ",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["exited"])
     # one row template per step, so a path's body is one `%` call over its states
     rows = [_fmt(t) + ("," + _NUM) * d + ",0" for t in (config.dt * np.arange(n + 1)).tolist()]
-    failures: list[tuple[int, int]] = []
-    stats_rows = []
-    for offset, size in engine.batch_sizes(config.paths, n, d):
-        noise = engine.increments_block(config.seed, offset, size, n, config.dt, d)
-        states, exit_steps = engine.euler_sweep(
-            model, ensemble.points[offset : offset + size], config.dt, noise, r_guard=config.r_guard
-        )
-        del noise  # at most one noise block and one state block are held at a time
+
+    def write(part, noise, swept):
+        states, exit_steps = swept
         for b, step in enumerate(exit_steps.tolist()):
-            i = offset + b
+            i = part.start + b
             exited = step >= 0
             end = step + 1 if exited else n + 1
             body = "\n".join(rows[:end]) % tuple(states[b, :end].ravel().tolist())
@@ -313,10 +308,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 body = body[:-1] + "1"
             lines = _csv_header(config, {"path_index": i, "horizon": _fmt(config.horizon)})
             _write_lines(out / f"path_{i:05d}.csv", lines + [columns, body])
-            stats_rows.append(f"{i},{int(exited)},{step if exited else ''}")
-            if exited:
-                failures.append((i, step))
-        del states
+        return (exit_steps,)
+
+    (exit_steps,) = engine.ensemble_sweep(
+        write, engine.euler_sweep, model, ensemble.points, config.dt, n, config.seed, config.r_guard
+    )
+    failures = [(i, step) for i, step in enumerate(exit_steps.tolist()) if step >= 0]
+    stats_rows = [f"{i},1,{step}" if step >= 0 else f"{i},0," for i, step in enumerate(exit_steps.tolist())]
     stats = _csv_header(config) + ["path_index,exited,exit_step"] + stats_rows
     _write_lines(out / "exit_stats.csv", stats)
     if failures:

@@ -137,18 +137,21 @@ def gronwall_sweep(
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     t0 = policy.t0
     n0 = engine.steps_for(t0, dt)
-    max_slack = -np.inf
-    max_gap = 0.0
-    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
-    for _, (k, _, _, a, c) in steps:
-        u = numerical_range_sup(a)
-        integral = integral + 0.5 * (u + u_prev) * dt if k > 0 else np.zeros(u.shape)
-        u_prev = u
-        bound = np.exp(2.0 * integral) / t0**2
-        slack = np.sum((c / t0) ** 2, axis=1) - bound[:, None]
-        max_slack = max(max_slack, float(np.max(slack)))
-        max_gap = max(max_gap, float(np.max(np.abs(slack))))
-    return max_slack, max_gap
+
+    def consume(part, inc, steps):
+        max_slack, max_gap = -np.inf, 0.0
+        for k, _, _, a, c in engine.require_alive(steps):
+            u = numerical_range_sup(a)
+            integral = integral + 0.5 * (u + u_prev) * dt if k > 0 else np.zeros(u.shape)
+            u_prev = u
+            bound = np.exp(2.0 * integral) / t0**2
+            slack = np.sum((c / t0) ** 2, axis=1) - bound[:, None]
+            max_slack = max(max_slack, float(np.max(slack)))
+            max_gap = max(max_gap, float(np.max(np.abs(slack))))
+        return np.array([max_slack]), np.array([max_gap])  # one entry per batch
+
+    slack, gap = engine.ensemble_sweep(consume, engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
+    return float(slack.max()), float(gap.max())
 
 
 def e_function(x):
@@ -208,23 +211,21 @@ def trace_moment_check(
     SE over the starts; the right side evaluates the exponential-ratio
     integral on the same ensemble.
     """
-    if ensemble.count == 0:
-        raise ConfigError("empty stationary ensemble")
     t0, r = policy.t0, policy.r
     n0 = engine.steps_for(t0, dt)
     d = model.dim
     starts = np.repeat(ensemble.points, paths_per_point, axis=0)
 
-    samples = np.empty(starts.shape[0])
-    steps = engine.ensemble_sweep(engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
-    for part, (k, _, _, _, c) in steps:
-        # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule;
-        # C's squared entries are added in index order, whatever C's layout
-        integrand = (engine._squared_norm(c.reshape(c.shape[0], -1)) / t0**2) ** (r / 2.0)
-        integral = integral + 0.5 * (integrand + prev) * dt if k > 0 else np.zeros(integrand.shape)
-        prev = integrand
-        if k == n0:
-            samples[part] = integral / t0
+    def consume(part, inc, steps):
+        for k, _, _, _, c in engine.require_alive(steps):
+            # tr(g^T g)^{r/2} with g = C / t0, integrated by the trapezoid rule;
+            # C's squared entries are added in index order, whatever C's layout
+            integrand = (engine._squared_norm(c.reshape(c.shape[0], -1)) / t0**2) ** (r / 2.0)
+            integral = integral + 0.5 * (integrand + prev) * dt if k > 0 else np.zeros(integrand.shape)
+            prev = integrand
+        return (integral / t0,)
+
+    (samples,) = engine.ensemble_sweep(consume, engine.propagator_sweep, model, starts, dt, n0, seed, r_guard)
 
     # a start's paths share it, so the SE is taken over the starts' own means
     per_start = samples.reshape(ensemble.count, paths_per_point).mean(axis=1)

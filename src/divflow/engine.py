@@ -281,6 +281,7 @@ def _live(x: Array, alive: Array) -> Array:
 
 
 def ensemble_sweep(
+    consume: Callable,
     sweep: Callable,
     model: CoefficientModel,
     starts: Array,
@@ -288,24 +289,35 @@ def ensemble_sweep(
     n_steps: int,
     seed: int,
     r_guard: float = DEFAULT_R_GUARD,
-) -> Iterator[tuple[slice, tuple]]:
-    """Run `sweep` from every start, in batches within the noise budget.
+    threads: int = 1,
+) -> list[Array]:
+    """The one batch loop: run `sweep` from every start, in batches within the noise budget.
 
-    Path i is driven by noise stream (seed, i), so nothing depends on the
-    batching.  Yields (part, (k, x, alive[, a, c])): the batch's slice of
-    `starts` and each step of its sweep.  Raises IntegrationError at the
-    first step where a path is outside the radius guard r_guard.  A batch's
-    noise block is released before the next one is drawn.
+    Path i is driven by noise stream (seed, i), whatever the batching or the
+    thread count.  Each batch calls `consume(part, increments, steps)` with
+    its slice of `starts`, its noise block and what `sweep` returned, and the
+    arrays `consume` returns are concatenated along axis 0 in batch order.
     """
     n, d = starts.shape
-    for off, size in batch_sizes(n, max(n_steps, 1), d):
+    if n < 1:
+        raise ConfigError("no paths to sweep")
+
+    def batch(spec):
+        off, size = spec
         part = slice(off, off + size)
         inc = increments_block(seed, off, size, n_steps, dt, d)
-        for item in sweep(model, starts[part], dt, inc, r_guard):
-            if not item[2].all():
-                raise IntegrationError(f"a path left the radius guard at step {item[0]}", step=item[0])
-            yield part, item
-        del inc
+        return consume(part, inc, sweep(model, starts[part], dt, inc, r_guard))
+
+    parts = map_batches(batch, batch_sizes(n, max(n_steps, 1), d), threads)
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def require_alive(steps: Iterator[tuple]) -> Iterator[tuple]:
+    """A sweep's steps, raising IntegrationError at the first step where a path is outside the guard."""
+    for item in steps:
+        if not item[2].all():
+            raise IntegrationError(f"a path left the radius guard at step {item[0]}", step=item[0])
+        yield item
 
 
 def mean_and_se(values) -> tuple[Array, Array]:

@@ -74,8 +74,6 @@ class PathSummary:
 
     x: Array
     t_end: float
-    dt: float
-    seed: int
     states: Array  # (N, d) terminal states
     frechet: Array  # (N, d, d) pathwise derivative at t_end
     ito: Array  # (N, d) control Ito integrals
@@ -109,18 +107,13 @@ def flow_summary(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.dim,):
         raise ConfigError(f"x has shape {x.shape}, expected ({model.dim},)")
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be positive, got {n_paths}")
     n = engine.steps_for(t_end, dt)
     d = model.dim
 
-    def worker(spec):
-        off, size = spec
-        inc = engine.increments_block(seed, off, size, n, dt, d)
-        x0 = np.broadcast_to(x, (size, d))
-        ito = np.zeros((d, size))  # entry-major: ito[j] holds column j of every path
-        contrib, product = np.empty((d, size)), np.empty(size)  # refilled every step
-        for k, xs, alive, _, c in engine.propagator_sweep(model, x0, dt, inc, r_guard):
+    def consume(part, inc, steps):
+        ito = np.zeros((d, len(inc)))  # entry-major: ito[j] holds column j of every path
+        contrib, product = np.empty((d, len(inc))), np.empty(len(inc))  # refilled every step
+        for k, xs, alive, _, c in steps:
             if k < n:
                 # (w^T C)_j = w_0 C_0j + w_1 C_1j + ..., added in index order
                 w = inc[:, k]
@@ -135,15 +128,11 @@ def flow_summary(
                     ito = np.where(alive, ito + contrib, ito)
         return xs, c, ito.T, alive
 
-    specs = engine.batch_sizes(n_paths, n, d)
-    parts = engine.map_batches(worker, specs, threads)
-    states = np.concatenate([p[0] for p in parts], axis=0)
-    frechet = np.concatenate([p[1] for p in parts], axis=0)
-    ito = np.concatenate([p[2] for p in parts], axis=0)
-    alive = np.concatenate([p[3] for p in parts], axis=0)
-    return PathSummary(
-        x=x, t_end=t_end, dt=dt, seed=seed, states=states, frechet=frechet, ito=ito, alive=alive
+    starts = np.broadcast_to(x, (max(n_paths, 0), d))
+    states, frechet, ito, alive = engine.ensemble_sweep(
+        consume, engine.propagator_sweep, model, starts, dt, n, seed, r_guard, threads
     )
+    return PathSummary(x=x, t_end=t_end, states=states, frechet=frechet, ito=ito, alive=alive)
 
 
 def _component_stats(samples: Array, alive: Array) -> tuple[Array, Array, int]:

@@ -303,24 +303,23 @@ def decay_check(
     variance before the square root.
     """
     t_grid = sorted(float(t) for t in t_grid)
-    if t_grid[0] < 0:
-        raise ConfigError("decay grid times must be nonnegative")
+    if not t_grid or t_grid[0] < 0:
+        raise ConfigError("decay grid times must be nonnegative, and there must be at least one")
     starts = ensemble.points[:n_outer]
     n = starts.shape[0]
     m = inner_paths
-    t_max = t_grid[-1]
-    n_steps = engine.steps_for(t_max, dt) if t_max > 0 else 0
     grid_idx = [engine.steps_for(t, dt) if t > 0 else 0 for t in t_grid]
 
+    def consume(part, inc, steps):
+        values = {k: f.value(x) for k, x, _ in engine.require_alive(steps) if k in grid_idx}
+        return tuple(values[k] for k in grid_idx)
+
     rep = np.repeat(starts, m, axis=0)
-    values = {k: np.empty(n * m) for k in grid_idx}
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, rep, dt, n_steps, seed, r_guard):
-        if k in values:
-            values[k][part] = f.value(x)
+    values = engine.ensemble_sweep(consume, engine.sweep, model, rep, dt, grid_idx[-1], seed, r_guard)
 
     points = []
-    for t, k in zip(t_grid, grid_idx):
-        vals = values[k].reshape(n, m)
+    for t, vals in zip(t_grid, values):
+        vals = vals.reshape(n, m)
         a = vals.mean(axis=1)
         s2 = vals.var(axis=1, ddof=1) / m if m > 1 else np.zeros(n)
         sq_mean, sq_se = map(float, engine.mean_and_se(a * a - s2))
@@ -419,27 +418,28 @@ def moment_bound_check(
     bound = c_hat * (1.0 + horizon)
 
     starts = pts[: min(n_paths, pts.shape[0])]
-    n = starts.shape[0]
     n_steps = engine.steps_for(horizon, dt) if horizon > 0 else 0
-    frozen = {r: np.full(n, np.nan) for r in radii}
-    stopped = {r: np.zeros(n, dtype=bool) for r in radii}
-    final = np.empty((n, d))
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed, r_guard):
-        if k == n_steps:
-            final[part] = x
-        nrm = np.linalg.norm(x, axis=-1)
-        if not (nrm >= radii[0]).any():  # no path reaches even the smallest radius
-            continue
-        for r in radii:
-            hit = ~stopped[r][part] & (nrm >= r)
-            stopped[r][part] |= hit
-            frozen[r][part][hit] = f_mom(x[hit])
+
+    def consume(part, inc, steps):
+        frozen = [np.full(len(inc), np.nan) for _ in radii]
+        stopped = [np.zeros(len(inc), dtype=bool) for _ in radii]
+        for k, x, _ in engine.require_alive(steps):
+            nrm = np.linalg.norm(x, axis=-1)
+            if not (nrm >= radii[0]).any():  # no path reaches even the smallest radius
+                continue
+            for r, fr, st in zip(radii, frozen, stopped):
+                hit = ~st & (nrm >= r)
+                st |= hit
+                fr[hit] = f_mom(x[hit])
+        return (x, *frozen, *stopped)
+
+    final, *values = engine.ensemble_sweep(consume, engine.sweep, model, starts, dt, n_steps, seed, r_guard)
 
     rows = []
     exit_probs = []
-    for r in radii:
-        mean, se = map(float, engine.mean_and_se(np.where(stopped[r], frozen[r], f_mom(final))))
-        prob = float(np.count_nonzero(stopped[r])) / n
+    for r, frozen, stopped in zip(radii, values, values[len(radii) :]):
+        mean, se = map(float, engine.mean_and_se(np.where(stopped, frozen, f_mom(final))))
+        prob = float(np.count_nonzero(stopped)) / len(final)
         envelope = bound / r ** (2.0 * rho)
         rows.append(
             MomentRadiusRow(
@@ -468,18 +468,18 @@ def stationarity_check(
     then time order.
     """
     t_grid = sorted(float(t) for t in t_grid if t > 0)
+    if not t_grid:
+        raise ConfigError("stationarity grid needs a positive time")
     starts = ensemble.points[: min(n_paths, ensemble.count)]
-    n = starts.shape[0]
-    n_steps = engine.steps_for(t_grid[-1], dt)
-    marks = {0, *(engine.steps_for(t, dt) for t in t_grid)}
-    values = {(f.name, k): np.empty(n) for f in battery for k in marks}
-    for part, (k, x, _) in engine.ensemble_sweep(engine.sweep, model, starts, dt, n_steps, seed, r_guard):
-        if k in marks:
-            for f in battery:
-                values[(f.name, k)][part] = f.value(x)
+    marks = [0] + [engine.steps_for(t, dt) for t in t_grid]
 
+    def consume(part, inc, steps):
+        values = {k: [f.value(x) for f in battery] for k, x, _ in engine.require_alive(steps) if k in marks}
+        return tuple(np.array(values[k]).T for k in marks)  # (paths, battery) per mark
+
+    at_0, *values = engine.ensemble_sweep(consume, engine.sweep, model, starts, dt, marks[-1], seed, r_guard)
     return engine.Cells.of(
-        (f"{f.name} t={t:g}", values[(f.name, engine.steps_for(t, dt))] - values[(f.name, 0)])
-        for f in battery
-        for t in t_grid
+        (f"{f.name} t={t:g}", at_t[:, i] - at_0[:, i])
+        for i, f in enumerate(battery)
+        for t, at_t in zip(t_grid, values)
     )

@@ -1,18 +1,20 @@
 """The shared Euler sweep: one radius guard for every path simulation."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import divflow as dv
-from divflow import engine
+from divflow import cli, engine
 from divflow.model import constant_curvature
 
 # DW1D started at x = 3 with dt = 0.5 explodes within a horizon of 2.
@@ -178,9 +180,30 @@ def test_noise_rejects_a_path_index_beyond_32_bits():
         engine.normal_increments(5, 2**32, 4, 0.1, 1)
 
 
-@pytest.mark.parametrize("kernel", ["sweep", "propagator_sweep"])
-def test_ensemble_sweep_releases_each_block_before_the_next(ou1d, monkeypatch, kernel):
-    """At most one noise block is alive at a time."""
+def _simulate(model, tmp_path):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(
+        f"[problem]\ntag = {model.name}\n[simulation]\npaths = 120\nhorizon = 0.4\ndt = 0.01\nseed = 3\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli.cmd_simulate(cli.parse_config(cfg)) == cli.EXIT_OK
+
+
+# Each caller sweeps 120 paths of 40 steps through `engine.ensemble_sweep`,
+# and each with its own kernel, by which the cases are named.
+_CALLERS = {
+    "sweep": lambda model, tmp_path: dv.stationarity_check(
+        model, [dv.coordinate(0, 1)], dv.StationaryEnsemble(np.zeros((120, 1))), t_grid=(0.4,), n_paths=120,
+        dt=0.01, seed=3,
+    ),
+    "propagator_sweep": lambda model, tmp_path: dv.flow_summary(model, [0.0], 0.4, 0.01, 120, seed=3),
+    "euler_sweep": _simulate,
+}
+
+
+@pytest.mark.parametrize("kernel", list(_CALLERS))
+def test_ensemble_sweep_releases_each_block_before_the_next(ou1d, monkeypatch, tmp_path, kernel):
+    """At most one noise block is alive at a time, in a check, in `flow_summary` and in `simulate`."""
     monkeypatch.setattr(engine, "_BLOCK_BUDGET", 40 * 40)
     assert len(engine.batch_sizes(120, 40, 1)) == 3
     blocks = []
@@ -193,10 +216,82 @@ def test_ensemble_sweep_releases_each_block_before_the_next(ou1d, monkeypatch, k
         return inc
 
     monkeypatch.setattr(engine, "increments_block", watched)
-    starts = np.zeros((120, 1))
-    for _ in engine.ensemble_sweep(getattr(engine, kernel), ou1d.model, starts, 0.01, 40, seed=3):
-        pass
+    _CALLERS[kernel](ou1d.model, tmp_path)
     assert len(blocks) == 3
+
+
+def test_ensemble_sweep_does_not_depend_on_the_thread_count(ou1d, monkeypatch):
+    """The same arrays at one and two threads, and the same guard exit: the first in batch order."""
+    monkeypatch.setattr(engine, "_BLOCK_BUDGET", 40 * 40)
+    starts, dt, n_steps, seed = np.zeros((120, 1)), 0.01, 40, 3
+
+    def last_step(part, inc, steps):
+        for _, x, alive, a, c in steps:
+            pass
+        return x, alive, a, c
+
+    serial, threaded = (
+        engine.ensemble_sweep(last_step, engine.propagator_sweep, ou1d.model, starts, dt, n_steps, seed, threads=t)
+        for t in (1, 2)
+    )
+    assert [a.tobytes() for a in serial] == [a.tobytes() for a in threaded]
+
+    # The second batch leaves the guard after step 0 and the third at step 0.
+    starts[40:80], starts[80:] = 1.9, 3.0
+    inc = engine.increments_block(seed, 40, 40, n_steps, dt, 1)
+    _, exit_step = engine.euler_sweep(ou1d.model, starts[40:80], dt, inc, r_guard=2.0)
+    first_exit = int(exit_step[exit_step >= 0].min())
+
+    def guarded(part, inc, steps):
+        return tuple(x for k, x, _ in engine.require_alive(steps) if k == n_steps)
+
+    for threads in (1, 2):
+        with pytest.raises(dv.IntegrationError, match="radius guard") as err:
+            engine.ensemble_sweep(guarded, engine.sweep, ou1d.model, starts, dt, n_steps, seed, 2.0, threads)
+        assert err.value.step == first_exit >= 1
+
+
+# Each caller with no path to sweep; the ensemble itself is not empty.
+_EMPTY = {
+    "decay": lambda model, ens: dv.decay_check(model, dv.coordinate(0, 1), (0.0, 1.0), ens, n_outer=0, dt=0.5),
+    "stationarity": lambda model, ens: dv.stationarity_check(
+        model, [dv.coordinate(0, 1)], ens, t_grid=(1.0,), n_paths=0, dt=0.5
+    ),
+    "moment_bound": lambda model, ens: dv.moment_bound_check(
+        model, dv.MomentTestConfig(rho=0.4, radii=(3.0,), horizon=1.0), ens, n_paths=0, dt=0.5
+    ),
+    "gronwall": lambda model, ens: dv.gronwall_sweep(model, ens.points[:0], _POLICY, dt=0.5),
+    "trace_moment": lambda model, ens: dv.trace_moment_check(model, ens, _POLICY, paths_per_point=0, dt=0.5),
+    "flow_summary": lambda model, ens: dv.flow_summary(model, [0.0], 1.0, 0.5, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY))
+def test_an_empty_path_set_is_a_config_error(ou1d, name):
+    """Not a crash, a nan report or gronwall's (-inf, 0.0), which would read as a pass."""
+    ensemble = dv.StationaryEnsemble(points=np.zeros((20, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dv.ConfigError, match="no paths to sweep"):
+            _EMPTY[name](ou1d.model, ensemble)
+
+
+def test_only_the_batch_driver_splits_paths_and_draws_noise_blocks():
+    """One batch loop decides how paths are batched and which stream drives a path.
+
+    `increments_block`, `batch_sizes` and `map_batches` are called in
+    `engine.ensemble_sweep` alone, anywhere in the package.
+    """
+    names = {"increments_block", "batch_sizes", "map_batches"}
+    calls = set()
+    for path in sorted(Path(dv.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in names:
+                        calls.add((path.name, getattr(top, "name", None), name))
+    assert calls == {("engine.py", "ensemble_sweep", name) for name in names}
 
 
 @pytest.mark.parametrize("kernel", ["sweep", "propagator_sweep"])

@@ -258,6 +258,20 @@ def test_decay_dw_centered_bump(dw1d, dw_ensemble):
     assert rep.monotone
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda model, ens: dv.decay_check(model, dv.coordinate(0, 1), (), ens, dt=0.5),
+        lambda model, ens: dv.decay_check(model, dv.coordinate(0, 1), (-0.5, 1.0), ens, dt=0.5),
+        lambda model, ens: dv.stationarity_check(model, [dv.coordinate(0, 1)], ens, t_grid=(0.0,), dt=0.5),
+    ],
+    ids=["decay-no-time", "decay-negative-time", "stationarity-no-positive-time"],
+)
+def test_time_grids_without_a_valid_time_are_config_errors(ou1d, check):
+    with pytest.raises(dv.ConfigError, match="grid"):
+        check(ou1d.model, dv.StationaryEnsemble(points=np.zeros((20, 1))))
+
+
 # ---------------------------------------------------------------------------
 # moment bound
 # ---------------------------------------------------------------------------
